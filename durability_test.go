@@ -561,3 +561,63 @@ func TestDurabilityAPIMisuse(t *testing.T) {
 		t.Fatal("NewSharded accepted Durability")
 	}
 }
+
+// TestEpochMatchesSnapshot pins Engine.Epoch to the epoch a freshly
+// captured snapshot reports, after every kind of commit — applied, empty
+// and rejected — and after recovery on a durable engine.
+func TestEpochMatchesSnapshot(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "log")
+	q := durParse(t)
+	opts := ivmeps.Options{Epsilon: 0.5, Durability: ivmeps.Durability{Dir: dir, Sync: ivmeps.SyncAlways}}
+	check := func(e *ivmeps.Engine, step string, want uint64) {
+		t.Helper()
+		s, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if got := e.Epoch(); got != s.Epoch() || got != want {
+			t.Fatalf("after %s: Epoch() = %d, snapshot epoch %d, want %d", step, got, s.Epoch(), want)
+		}
+	}
+	e, err := ivmeps.New(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Epoch(); got != 0 {
+		t.Fatalf("Epoch() before Build = %d, want 0", got)
+	}
+	if err := e.Load("R", []int64{1, 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	check(e, "Build", 1)
+	if err := e.Apply("R", []int64{2, 10}, 1); err != nil {
+		t.Fatal(err)
+	}
+	check(e, "Apply", 2)
+	if err := e.Commit(e.NewBatch().Insert("R", []int64{3, 10}).Insert("S", []int64{10, 7})); err != nil {
+		t.Fatal(err)
+	}
+	check(e, "Commit", 3)
+	if err := e.Commit(e.NewBatch()); err != nil {
+		t.Fatal(err)
+	}
+	check(e, "empty Commit", 3)
+	var me *ivmeps.MultiplicityError
+	if err := e.Commit(e.NewBatch().Insert("S", []int64{11, 7}).Delete("R", []int64{9, 9})); !errors.As(err, &me) {
+		t.Fatalf("over-deleting Commit returned %v, want a MultiplicityError", err)
+	}
+	check(e, "rejected Commit", 3)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ivmeps.Open(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	check(r, "Open", 3)
+}

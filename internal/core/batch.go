@@ -8,14 +8,16 @@ import (
 	"ivmeps/internal/viewtree"
 )
 
-// Batch updates: CommitBatch applies a sequence of single-tuple updates —
-// possibly spanning several relations — as one atomic maintenance commit,
-// and ApplyBatch is its one-relation wrapper. Per relation, the batch is
-// aggregated into one delta per leaf, so each view tree is walked once per
-// (batch, relation) instead of once per update, and the minor/major
-// rebalance checks run once per distinct partition key instead of once per
-// update. The result is observably equivalent to applying the updates one
-// by one with Update: the enumerated query result, the database size N, and
+// Commits: every write to a dynamic engine is a commit, and every commit
+// runs one sequence (commitLocked). CommitBatch applies a sequence of
+// single-tuple updates — possibly spanning several relations — as one
+// atomic maintenance commit, ApplyBatch is its one-relation wrapper, and
+// Update is a one-op commit. Per relation, the batch is aggregated into one
+// delta per leaf, so each view tree is walked once per (batch, relation)
+// instead of once per update, and the minor/major rebalance checks run once
+// per distinct partition key instead of once per update. The result is
+// observably equivalent to applying the updates one by one with Update:
+// the enumerated query result, the database size N, and
 // the engine invariants (CheckInvariants) all match; internal state that
 // the paper leaves implementation-defined — the exact threshold base M
 // after growth and which keys sit in the light parts — may differ within
@@ -100,19 +102,52 @@ func (e *Engine) CommitBatch(ops []BatchOp) error {
 	// post-batch state; one captured before observes the pre-batch state.
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.commitLocked(ops)
+}
+
+// Update applies a single-tuple update δR = {t → m} to relation rel:
+// m > 0 inserts, m < 0 deletes. Deletes that exceed the stored multiplicity
+// are rejected. The update is a one-op commit — the paper's OnUpdate
+// trigger (Figure 22), including minor and major rebalancing, is the
+// commit path's rebalancing for one op — with an amortized cost of
+// O(N^(δε)) (Proposition 27). A zero m only checks that rel is a relation
+// of the query and publishes no epoch.
+func (e *Engine) Update(rel string, t tuple.Tuple, m int64) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if m == 0 {
+		if err := e.writableLocked(); err != nil {
+			return err
+		}
+		if e.relIdx[rel] == 0 {
+			return e.unknownRelation(rel)
+		}
+		return nil
+	}
+	e.op1[0] = BatchOp{Rel: rel, Row: t, Mult: m}
+	err := e.commitLocked(e.op1[:])
+	e.op1[0] = BatchOp{} // drop the reference into the caller's row
+	return err
+}
+
+// commitLocked is the engine's one commit sequence, shared by Update,
+// ApplyBatch and CommitBatch: validate the whole op stream
+// (prepareLocked), hand it to the commit hook, then apply it and publish
+// one epoch (applyStagedLocked). An empty op stream validates trivially
+// but commits nothing and publishes no epoch.
+//
+// Durability point: the validated op stream reaches the commit log (if any)
+// before the first relation write, and a hook error aborts with the engine
+// untouched. Apply cannot fail after validation, so a logged commit is a
+// committed one.
+func (e *Engine) commitLocked(ops []BatchOp) error {
 	if err := e.prepareLocked(ops); err != nil {
 		return err
 	}
 	if len(ops) == 0 {
-		// An empty batch validates trivially but commits nothing and
-		// publishes no epoch.
 		e.releaseStagedLocked()
 		return nil
 	}
-	// Durability point: the validated op stream reaches the commit log (if
-	// any) before the first relation write, and a hook error aborts with the
-	// engine untouched. Apply cannot fail after validation, so a logged
-	// batch is a committed batch.
 	if e.commitHook != nil {
 		if err := e.runCommitHookLocked(e.epoch+1, ops); err != nil {
 			e.releaseStagedLocked()
@@ -185,7 +220,7 @@ func (e *Engine) ApplyBatch(rel string, rows []tuple.Tuple, mults []int64) error
 	if id == 0 {
 		// Resolved before the empty-batch fast path, so a mis-spelled
 		// relation is reported even with zero rows.
-		return fmt.Errorf("core: %w: %q (query %s)", ErrUnknownRelation, rel, e.orig)
+		return e.unknownRelation(rel)
 	}
 	ops := e.opsScratch[:0]
 	for i, r := range rows {
@@ -195,21 +230,7 @@ func (e *Engine) ApplyBatch(rel string, rows []tuple.Tuple, mults []int64) error
 		}
 		ops = append(ops, BatchOp{Rel: rel, RelID: id, Row: r, Mult: m})
 	}
-	var err error
-	if err = e.prepareLocked(ops); err == nil {
-		if len(ops) == 0 {
-			e.releaseStagedLocked()
-		} else if e.commitHook != nil {
-			// Same durability point as CommitBatch: log, then apply.
-			if err = e.runCommitHookLocked(e.epoch+1, ops); err != nil {
-				e.releaseStagedLocked()
-			} else {
-				e.applyStagedLocked()
-			}
-		} else {
-			e.applyStagedLocked()
-		}
-	}
+	err := e.commitLocked(ops)
 	clear(ops) // drop the references into the caller's rows
 	e.opsScratch = ops[:0]
 	return err
@@ -219,25 +240,18 @@ func (e *Engine) ApplyBatch(rel string, rows []tuple.Tuple, mults []int64) error
 // lock, tracking the running multiplicity of each distinct
 // (relation, tuple) and aggregating the net delta per tuple in first-seen
 // order. All grouping state — the per-relation slots (one fixed slot per
-// query relation, indexed by RelID), their tuple-keyed maps, and the group
-// lists — is pooled on the engine (keys reference the caller's rows until
-// the staged batch is applied or released), so repeated batches validate
-// without allocating. Ops carrying a pre-resolved RelID skip the name
-// lookup entirely; unresolved ops keep a last-name fast path in front of
-// the map, since ingest streams are usually runs of one relation.
+// query relation, indexed by RelID) with their net deltas — is pooled on
+// the engine, so repeated batches validate without allocating. Ops
+// carrying a pre-resolved RelID skip the name lookup entirely; unresolved
+// ops keep a last-name fast path in front of the map, since ingest streams
+// are usually runs of one relation.
 //
 // On success the aggregated groups stay staged on the engine
 // (e.batchTouched / e.batchSlots) for applyStagedLocked; on an error every
 // slot is released and the engine is untouched.
 func (e *Engine) prepareLocked(ops []BatchOp) error {
-	if !e.preprocessed {
-		return fmt.Errorf("core: batch commit: %w (run Preprocess first)", ErrNotBuilt)
-	}
-	if e.opts.Mode != viewtree.Dynamic {
-		return fmt.Errorf("core: %w; rebuild with Mode: Dynamic for updates", ErrStatic)
-	}
-	if e.degraded != nil {
-		return e.degraded
+	if err := e.writableLocked(); err != nil {
+		return err
 	}
 	applied := 0
 	lastID := 0
@@ -251,7 +265,7 @@ func (e *Engine) prepareLocked(ops []BatchOp) error {
 			if resolvedID == 0 || op.Rel != resolvedName {
 				resolvedID = e.relIdx[op.Rel]
 				if resolvedID == 0 {
-					err = fmt.Errorf("core: %w: %q (query %s)", ErrUnknownRelation, op.Rel, e.orig)
+					err = e.unknownRelation(op.Rel)
 					break
 				}
 				resolvedName = op.Rel
@@ -284,19 +298,17 @@ func (e *Engine) prepareLocked(ops []BatchOp) error {
 			// it contributes nothing to the deltas.
 			continue
 		}
-		gi, h, seen := br.val.GetHash(op.Row)
-		if !seen {
-			gi = len(br.groups)
-			br.groups = append(br.groups, batchGroup{t: op.Row, stored: br.first.Mult(op.Row)})
-			br.val.PutHashed(h, op.Row, gi)
+		net := &br.net.rows[br.net.index(op.Row)].m
+		if *net+op.Mult < 0 {
+			// Only an op taking the batch's net below zero can exceed the
+			// stored multiplicity, so only such an op reads it:
+			// insert-only batches validate without probing.
+			if have := br.first.Mult(op.Row) + *net; have+op.Mult < 0 {
+				err = &relation.MultiplicityError{Relation: br.rel, Tuple: op.Row.Clone(), Have: have, Delta: op.Mult}
+				break
+			}
 		}
-		g := &br.groups[gi]
-		if g.stored+g.net+op.Mult < 0 {
-			err = &relation.MultiplicityError{Relation: br.rel, Tuple: op.Row.Clone(),
-				Have: g.stored + g.net, Delta: op.Mult}
-			break
-		}
-		g.net += op.Mult
+		*net += op.Mult
 		applied++
 	}
 	if err != nil {
@@ -307,6 +319,28 @@ func (e *Engine) prepareLocked(ops []BatchOp) error {
 	e.stagedApplied = applied
 	e.staged = true
 	return nil
+}
+
+// writableLocked reports why the engine refuses mutations, if it does: it
+// is not preprocessed yet, it was built static, or its commit log wedged.
+// It is small enough to inline into every commit; the refusals are built
+// out of line.
+func (e *Engine) writableLocked() error {
+	if !e.preprocessed || e.opts.Mode != viewtree.Dynamic {
+		return e.refusal()
+	}
+	return e.degraded
+}
+
+func (e *Engine) refusal() error {
+	if !e.preprocessed {
+		return fmt.Errorf("core: commit: %w (run Preprocess first)", ErrNotBuilt)
+	}
+	return fmt.Errorf("core: %w; rebuild with Mode: Dynamic for updates", ErrStatic)
+}
+
+func (e *Engine) unknownRelation(rel string) error {
+	return fmt.Errorf("core: %w: %q (query %s)", ErrUnknownRelation, rel, e.orig)
 }
 
 // applyStagedLocked applies a batch staged by prepareLocked: relation-
@@ -324,23 +358,17 @@ func (e *Engine) applyStagedLocked() {
 	touched := 0
 	for _, id := range e.batchTouched {
 		br := &e.batchSlots[id-1]
-		d := e.ws0.getDelta()
-		for gi := range br.groups {
-			if br.groups[gi].net != 0 {
-				d.appendRow(br.groups[gi].t, br.groups[gi].net)
-			}
-		}
-		if len(d.rows) > 0 {
+		br.net.dropZeros()
+		if len(br.net.rows) > 0 {
 			// Footnote 2: an update to a repeated relation symbol is a
 			// sequence of updates to each occurrence.
-			for _, o := range br.occ {
-				e.applyBatchOcc(e.routes[o], d)
+			for _, rt := range br.routes {
+				e.applyBatchOcc(rt, &br.net)
 			}
 			// Relations whose ops net to zero propagate nothing and do not
 			// count toward the batch's relation fan-out.
 			touched++
 		}
-		e.ws0.putDelta(d)
 	}
 	e.rebalanceBatchLocked()
 	e.stats.Updates += int64(e.stagedApplied)
@@ -363,7 +391,9 @@ func (e *Engine) applyStagedLocked() {
 // re-materialized on the way up and again on the way down. Within a pass
 // the stale M only affects rebalancing heuristics (θ), never view
 // contents, and the strict repartition here subsumes any interim light
-// routing.
+// routing. A one-op commit — every Update — moves N by at most one, so the
+// trigger fires exactly when Figure 22's per-update trigger would, and
+// sets the same M.
 func (e *Engine) rebalanceBatchLocked() {
 	if e.n < e.m && e.n >= e.m/4 {
 		return
@@ -381,40 +411,28 @@ func (e *Engine) rebalanceBatchLocked() {
 	e.majorRebalance()
 }
 
-// batchGroup is the per-distinct-tuple validation state of one batch.
-type batchGroup struct {
-	t      tuple.Tuple
-	net    int64
-	stored int64
-}
-
 // batchRelState is the pooled per-relation grouping state of commits.
 // Every query relation owns one fixed slot (e.batchSlots[RelID-1], built
-// at construction): the relation's occurrence list and arity are resolved
-// once per engine, and the tuple-keyed validation map and distinct-tuple
-// group list are reset (capacity kept) rather than reallocated across
-// batches.
+// at construction): the relation's routes and arity are resolved once per
+// engine, and the net delta is reset (capacity kept) rather than
+// reallocated across batches.
 type batchRelState struct {
 	rel     string
-	occ     []string
+	routes  []*relRoutes // per occurrence, in occurrence order; set by buildRoutes
 	first   *relation.Relation
 	arity   int
-	touched bool // slot is on e.batchTouched for the staged batch
-	val     tuple.IntMap
-	groups  []batchGroup
+	touched bool  // slot is on e.batchTouched for the staged batch
+	net     delta // the batch's net delta: one row per distinct tuple, first-seen order
 }
 
 // releaseStagedLocked returns the touched per-relation grouping slots to
-// their pooled state with every reference into the caller's rows dropped
-// (after an apply, an abort, and on every validation error alike), so a
-// failed or aborted batch does not stay pinned by the pooled maps and
-// group lists.
+// their pooled state (after an apply, an abort, and on every validation
+// error alike). The slots copy the tuples they group, so no batch, failed
+// or not, stays pinned by them.
 func (e *Engine) releaseStagedLocked() {
 	for _, id := range e.batchTouched {
 		br := &e.batchSlots[id-1]
-		clear(br.groups)
-		br.groups = br.groups[:0]
-		br.val.Reset()
+		br.net.reset()
 		br.touched = false
 	}
 	e.batchTouched = e.batchTouched[:0]
@@ -422,27 +440,15 @@ func (e *Engine) releaseStagedLocked() {
 	e.stagedApplied = 0
 }
 
-// batchKey is the per-distinct-partition-key state of one batch. The key
-// tuple points into the engine's pooled key arena (batchKeyBuf) and is
-// valid for the duration of one applyBatchOcc pass.
-type batchKey struct {
-	key      tuple.Tuple
-	preDeg   int  // full degree before the batch
-	preLight bool // key was in the light part's domain before the batch
-	rows     []int
-}
-
-// appendBatchKey appends a batchKey to keys, reusing the rows buffer of a
-// previously pooled slot when the slice grows within capacity.
-func appendBatchKey(keys []batchKey, key tuple.Tuple, preDeg int, preLight bool) []batchKey {
-	if len(keys) < cap(keys) {
-		keys = keys[:len(keys)+1]
-		bk := &keys[len(keys)-1]
-		bk.key, bk.preDeg, bk.preLight = key, preDeg, preLight
-		bk.rows = bk.rows[:0]
-		return keys
-	}
-	return append(keys, batchKey{key: key, preDeg: preDeg, preLight: preLight})
+// partKeys groups one applyBatchOcc pass's delta rows by the partition key
+// of one partRoute: set holds the distinct keys in first-seen order,
+// light[i] whether the rows of key set.rows[i].t route to the light part —
+// the key was new or light before the batch (Figure 19, line 10) — and
+// heavy counts the keys whose rows do not.
+type partKeys struct {
+	set   delta
+	light []bool
+	heavy int
 }
 
 // applyBatchOcc applies the aggregated batch delta d to one occurrence
@@ -457,31 +463,27 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 
 	// Capture the pre-update partition state per distinct key (Figure 19
 	// line 10 needs the pre-update degrees to route to the light parts).
-	// The grouping table, the batchKey lists, and the arena holding the
-	// distinct keys are pooled on the engine — reset, not reallocated — so
+	// The key sets are pooled on the engine — reset, not reallocated — so
 	// this pass allocates only when a batch grows past every previous one.
 	for len(e.perPart) < len(rt.parts) {
-		e.perPart = append(e.perPart, nil)
+		e.perPart = append(e.perPart, partKeys{})
 	}
 	perPart := e.perPart[:len(rt.parts)]
-	e.batchKeyBuf = e.batchKeyBuf[:0]
 	for pi, pr := range rt.parts {
-		keys := perPart[pi][:0]
-		e.groupMap.Reset()
+		pk := &perPart[pi]
+		pk.set.reset()
+		pk.light, pk.heavy = pk.light[:0], 0
 		for ri := range d.rows {
-			pr.keyScratch = pr.p.AppendKeyOf(pr.keyScratch[:0], d.rows[ri].t)
-			ki, h, ok := e.groupMap.GetHash(pr.keyScratch)
-			if !ok {
-				ki = len(keys)
-				start := len(e.batchKeyBuf)
-				e.batchKeyBuf = append(e.batchKeyBuf, pr.keyScratch...)
-				key := e.batchKeyBuf[start:len(e.batchKeyBuf):len(e.batchKeyBuf)]
-				keys = appendBatchKey(keys, key, pr.p.Degree(key), pr.p.IsLight(key))
-				e.groupMap.PutHashed(h, key, ki)
+			e.keyScratch = pr.p.AppendKeyOf(e.keyScratch[:0], d.rows[ri].t)
+			if ki := pk.set.index(e.keyScratch); ki == len(pk.light) {
+				key := pk.set.rows[ki].t
+				light := pr.p.Degree(key) == 0 || pr.p.IsLight(key)
+				pk.light = append(pk.light, light)
+				if !light {
+					pk.heavy++
+				}
 			}
-			keys[ki].rows = append(keys[ki].rows, ri)
 		}
-		perPart[pi] = keys
 	}
 
 	// Apply the batch to the base relation, maintaining N incrementally,
@@ -497,15 +499,7 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 	if rt.countsN {
 		e.n += base.Size() - before
 	}
-	for _, lp := range rt.atomLeaves {
-		e.enqueue(lp, d)
-	}
-	for _, ir := range rt.inds {
-		for _, lp := range ir.allLeaves {
-			e.enqueue(lp, d)
-		}
-	}
-	e.runJobs()
+	e.propagate(rt.leaves, d)
 	// Phase 2: δ(∃H) once per distinct indicator key of the batch,
 	// sequential because indicator propagation in one main tree may read
 	// the ∃H relation of a later indicator (the refresh/propagate
@@ -524,17 +518,16 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 	// batch drove N outside the size invariant, θ is stale for these
 	// checks — harmless, since the commit-boundary rebalance strictly
 	// repartitions everything afterwards.
-	theta := e.Theta()
 	for pi, pr := range rt.parts {
-		keys := perPart[pi]
-		ld := e.ws0.getDelta()
-		for ki := range keys {
-			bk := &keys[ki]
-			if !bk.preLight && bk.preDeg != 0 {
-				continue
-			}
-			for _, ri := range bk.rows {
-				ld.appendRow(d.rows[ri].t, d.rows[ri].m)
+		pk := &perPart[pi]
+		ld := d // every key light: the whole delta routes light
+		if pk.heavy > 0 {
+			ld = e.ws0.getDelta()
+			for ri := range d.rows {
+				e.keyScratch = pr.p.AppendKeyOf(e.keyScratch[:0], d.rows[ri].t)
+				if pk.light[pk.set.index(e.keyScratch)] {
+					ld.appendRow(d.rows[ri].t, d.rows[ri].m)
+				}
 			}
 		}
 		if len(ld.rows) > 0 {
@@ -542,32 +535,26 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 			for i := range ld.rows {
 				light.MustAdd(ld.rows[i].t, ld.rows[i].m)
 			}
-			for _, lp := range pr.lightLeaves {
-				e.enqueue(lp, ld)
-			}
-			for _, il := range pr.inds {
-				for _, lp := range il.lLeaves {
-					e.enqueue(lp, ld)
-				}
-			}
-			e.runJobs()
-			for _, il := range pr.inds {
+			e.propagate(pr.leaves, ld)
+			for _, s := range pr.inds {
 				// The indicator keys equal the partition keys; refresh ∃H
 				// once per light-routed key.
-				for ki := range keys {
-					bk := &keys[ki]
-					if !bk.preLight && bk.preDeg != 0 {
+				for ki, k := range pk.set.rows {
+					if !pk.light[ki] {
 						continue
 					}
-					if dh := e.refreshH(il.s, bk.key); dh != 0 {
-						e.propagateIndicator(il.s, bk.key, dh)
+					if dh := e.refreshH(s, k.t); dh != 0 {
+						e.propagateIndicator(s, k.t, dh)
 					}
 				}
 			}
 		}
-		e.ws0.putDelta(ld)
-		for ki := range keys {
-			key := keys[ki].key
+		if ld != d {
+			e.ws0.putDelta(ld)
+		}
+		theta := e.Theta()
+		for _, k := range pk.set.rows {
+			key := k.t
 			lightDeg := float64(pr.p.LightDegree(key))
 			fullDeg := float64(pr.p.Degree(key))
 			if lightDeg == 0 && fullDeg > 0 && fullDeg < 0.5*theta {
@@ -581,19 +568,20 @@ func (e *Engine) applyBatchOcc(rt *relRoutes, d *delta) {
 
 // refreshBatchH refreshes ∃H once per distinct indicator key appearing in
 // the batch delta and propagates the resulting δ(∃H) changes. The
-// distinct-key set is a pooled map; keys are copied into its arena because
-// the projection scratch is overwritten per row.
+// distinct-key set is a pooled delta, which copies the keys out of the
+// projection scratch.
 func (e *Engine) refreshBatchH(ir *indRoute, d *delta) {
-	e.seenKeys.Reset()
+	seen := &e.seenKeys
 	for i := range d.rows {
-		ir.keyScratch = ir.keyProj.AppendTo(ir.keyScratch[:0], d.rows[i].t)
-		_, h, ok := e.seenKeys.GetHash(ir.keyScratch)
-		if ok {
-			continue
+		e.keyScratch = ir.keyProj.AppendTo(e.keyScratch[:0], d.rows[i].t)
+		n := len(seen.rows)
+		if seen.index(e.keyScratch) < n {
+			continue // refreshed already
 		}
-		e.seenKeys.PutCopyHashed(h, ir.keyScratch, 0)
-		if dh := e.refreshH(ir.s, ir.keyScratch); dh != 0 {
-			e.propagateIndicator(ir.s, ir.keyScratch, dh)
+		key := seen.rows[n].t
+		if dh := e.refreshH(ir.s, key); dh != 0 {
+			e.propagateIndicator(ir.s, key, dh)
 		}
 	}
+	seen.reset()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -308,38 +309,50 @@ func TestEngineErrors(t *testing.T) {
 	if _, err := New(query.MustParse("Q(A) = R(A)"), Options{Epsilon: 1.5}); err == nil {
 		t.Fatal("epsilon out of range accepted")
 	}
+	wantIs := func(what string, err, target error) {
+		t.Helper()
+		if !errors.Is(err, target) {
+			t.Fatalf("%s: got %v, want %v", what, err, target)
+		}
+	}
 	q := query.MustParse("Q(A) = R(A, B), S(B)")
 	e, _ := New(q, Options{Mode: viewtree.Static})
-	if err := e.Update("R", tuple.Tuple{1, 2}, 1); err == nil {
-		t.Fatal("static engine accepted update before preprocess")
-	}
+	wantIs("static engine, update before preprocess", e.Update("R", tuple.Tuple{1, 2}, 1), ErrNotBuilt)
 	if err := Preprocess(e, naive.Database{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Update("R", tuple.Tuple{1, 2}, 1); err == nil {
-		t.Fatal("static engine accepted update")
-	}
+	wantIs("static engine, update", e.Update("R", tuple.Tuple{1, 2}, 1), ErrStatic)
+	// The engine-level refusals come before any per-op check.
+	wantIs("static engine, unknown relation", e.Update("Z", tuple.Tuple{1}, 1), ErrStatic)
 	if err := Preprocess(e, naive.Database{}); err == nil {
 		t.Fatal("double preprocess accepted")
 	}
 
 	d, _ := New(q, Options{Mode: viewtree.Dynamic})
-	if err := d.Update("R", tuple.Tuple{1, 2}, 1); err == nil {
-		t.Fatal("update before preprocess accepted")
-	}
+	wantIs("update before preprocess", d.Update("R", tuple.Tuple{1, 2}, 1), ErrNotBuilt)
+	wantIs("zero update before preprocess", d.Update("R", tuple.Tuple{1, 2}, 0), ErrNotBuilt)
 	if err := Preprocess(d, naive.Database{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Update("Z", tuple.Tuple{1}, 1); err != nil {
-		if err == nil {
-			t.Fatal("unknown relation accepted")
-		}
+	wantIs("unknown relation", d.Update("Z", tuple.Tuple{1}, 1), ErrUnknownRelation)
+	wantIs("zero update to an unknown relation", d.Update("Z", tuple.Tuple{1}, 0), ErrUnknownRelation)
+	var ae *relation.ArityError
+	if err := d.Update("R", tuple.Tuple{1}, 1); !errors.As(err, &ae) || ae.Relation != "R" {
+		t.Fatalf("short row: got %v, want an ArityError on R", err)
 	}
-	if err := d.Update("R", tuple.Tuple{1, 2}, -1); err == nil {
-		t.Fatal("delete from empty accepted")
+	// Arity is checked before the stored multiplicity.
+	if err := d.Update("R", tuple.Tuple{1, 2, 3}, -1); !errors.As(err, &ae) {
+		t.Fatalf("long row delete: got %v, want an ArityError", err)
+	}
+	var me *relation.MultiplicityError
+	if err := d.Update("R", tuple.Tuple{1, 2}, -1); !errors.As(err, &me) || me.Have != 0 || me.Delta != -1 {
+		t.Fatalf("delete from empty: got %v, want a MultiplicityError with Have 0, Delta -1", err)
 	}
 	if err := d.Update("R", tuple.Tuple{1, 2}, 0); err != nil {
-		t.Fatal("zero update rejected")
+		t.Fatalf("zero update rejected: %v", err)
+	}
+	if got := d.Epoch(); got != 1 {
+		t.Fatalf("rejected and zero updates published epochs: epoch %d, want 1", got)
 	}
 }
 

@@ -6,14 +6,17 @@ import (
 	"ivmeps/internal/relation"
 )
 
-// Durability hooks. The engine itself stores nothing on disk; instead the
-// commit paths expose exactly the two primitives a write-ahead log needs:
+// Durability hooks. The engine itself stores nothing on disk; instead its
+// commit sequence (commitLocked, batch.go) exposes exactly the two
+// primitives a write-ahead log needs:
 //
 //   - a commit hook observing every validated op stream before it is
-//     applied (SetCommitHook) — because validation is complete and apply is
-//     infallible at that point, "logged" and "committed" coincide: a crash
-//     after the hook returns replays the batch, a crash before it leaves a
-//     log without the record and an engine without the batch;
+//     applied (SetCommitHook) — one call site for every write, a
+//     single-tuple Update being a one-op commit; because validation is
+//     complete and apply is infallible at that point, "logged" and
+//     "committed" coincide: a crash after the hook returns replays the
+//     batch, a crash before it leaves a log without the record and an
+//     engine without the batch;
 //   - a checkpoint capture (BaseState) freezing the base relations and the
 //     epoch under one writer-lock hold, so a checkpoint serializes one
 //     committed state without stalling subsequent commits — everything else

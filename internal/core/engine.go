@@ -38,11 +38,12 @@ type Options struct {
 	// enumeration time.
 	PlainViewTree bool
 
-	// Workers bounds the worker goroutines ApplyBatch uses to propagate a
-	// batch across independent view trees: 0 (the default) picks
+	// Workers bounds the worker goroutines a commit uses to propagate its
+	// deltas across independent view trees: 0 (the default) picks
 	// GOMAXPROCS-bounded auto, 1 forces the sequential path, and an
 	// explicit N > 1 is honored as given (capped by the number of view
-	// trees). Single-tuple Update is always sequential. See Engine.Close
+	// trees). Commits too small to amortize the pool handoff — every
+	// single-tuple Update among them — propagate inline. See Engine.Close
 	// for the pool's lifetime.
 	Workers int
 
@@ -61,8 +62,8 @@ type Options struct {
 // Engine maintains the materialized view trees of a hierarchical query and
 // answers enumeration requests over them.
 //
-// An Engine is single-writer: Update, ApplyBatch, and the direct
-// Result/Enumerate path must all run on one goroutine (ApplyBatch
+// An Engine is single-writer: Update, ApplyBatch, CommitBatch, and the
+// direct Result/Enumerate path must all run on one goroutine (a commit
 // parallelizes internally). Snapshot may be called from any goroutine, and
 // the Snapshots it returns enumerate concurrently with the writer — see
 // snapshot.go for the epoch scheme.
@@ -107,24 +108,23 @@ type Engine struct {
 	relNames []string
 	relIdx   map[string]int
 
-	// Pooled batch-commit scratch (batch.go): one fixed per-relation slot
-	// per query relation (indexed by RelID−1) holding the tuple-keyed maps
-	// and group lists of the all-or-nothing validation pass, the
-	// first-touched slot order of the staged batch, the ApplyBatch
-	// wrapper's op buffer, the per-partition key-grouping table and
-	// batchKey lists, the refreshBatchH distinct-key set, and the arena
-	// backing the distinct partition keys of one occurrence pass. All are
-	// reset (capacity kept) rather than reallocated, so repeated batches on
-	// one engine allocate only for genuinely new entries.
+	// Pooled commit scratch (batch.go): one fixed per-relation slot per
+	// query relation (indexed by RelID−1) holding the net delta of the
+	// all-or-nothing validation pass, the first-touched slot order of the
+	// staged batch, the one-op slice of Update and the op buffer of
+	// ApplyBatch, the per-partition key sets, the refreshBatchH
+	// distinct-key set, and the key projection scratch. All are reset
+	// (capacity kept) rather than reallocated, so repeated batches on one
+	// engine allocate only for genuinely new entries.
 	batchSlots    []batchRelState
 	batchTouched  []int
 	staged        bool // a validated batch is staged (PrepareCommit succeeded)
 	stagedApplied int  // nonzero-mult ops of the staged batch
+	op1           [1]BatchOp
 	opsScratch    []BatchOp
-	groupMap      tuple.IntMap
-	seenKeys      tuple.IntMap
-	batchKeyBuf   tuple.Tuple
-	perPart       [][]batchKey
+	perPart       []partKeys
+	seenKeys      delta
+	keyScratch    tuple.Tuple
 
 	// treeID densely numbers every view tree (main, All, L) of the forest;
 	// jobGroups queues the propagation jobs of one batch phase, one group
@@ -147,26 +147,25 @@ type Engine struct {
 	// freeSlots are the slots of free(Q) in head order.
 	freeSlots []int
 
-	// mu serializes the write operations (Update, ApplyBatch, the
-	// preprocessing commit) with snapshot capture. Writers hold it for the
+	// mu serializes the write operations (the commits and the
+	// preprocessing) with snapshot capture. Writers hold it for the
 	// whole operation, so a Snapshot observes a committed state — never a
 	// half-applied batch; snapshot *enumeration* runs outside the lock.
 	mu sync.Mutex
 
 	// epoch counts committed write operations. It is bumped under mu at
-	// every commit point — Preprocess, each applied Update, each applied
-	// ApplyBatch (major rebalances happen inside those operations and
-	// publish with them) — and stamped onto snapshots.
+	// every commit point — Preprocess and each applied commit, whether an
+	// Update, an ApplyBatch or a CommitBatch (major rebalances happen
+	// inside those operations and publish with them) — and stamped onto
+	// snapshots.
 	epoch uint64
 
 	// commitHook, when set, observes every validated commit before it is
-	// applied (durable.go); hookOp is the pooled one-op slice the
-	// single-tuple Update path hands it. degraded latches the first hook
-	// error: the durability layer has wedged, so every further mutation is
-	// refused with that error while reads keep serving the last committed
-	// state (durable.go).
+	// applied (durable.go). degraded latches the first hook error: the
+	// durability layer has wedged, so every further mutation is refused
+	// with that error while reads keep serving the last committed state
+	// (durable.go).
 	commitHook CommitHook
-	hookOp     [1]BatchOp
 	degraded   error
 
 	// Commit-delta capture (watch.go): roots names the main-tree root
@@ -187,8 +186,9 @@ type Engine struct {
 	// invalidates it (invalidateGenLocked) before touching any relation.
 	curGen *snapGen
 
-	n int // current database size (sum of distinct-tuple counts, per original relation)
-	m int // threshold base M with ⌊M/4⌋ ≤ N < M
+	n     int     // current database size (sum of distinct-tuple counts, per original relation)
+	m     int     // threshold base M with ⌊M/4⌋ ≤ N < M; set by setM
+	theta float64 // partition threshold θ = M^ε; set by setM
 
 	preprocessed bool
 
@@ -207,8 +207,8 @@ type Stats struct {
 	MajorRebalances  int64
 	DeltasApplied    int64 // single-tuple deltas applied to views
 	EnumeratedTuples int64
-	Batches          int64 // batch commits (CommitBatch and ApplyBatch calls that ran)
-	BatchRelations   int64 // distinct relations with a net effect, summed over batch commits
+	Batches          int64 // applied commits: every Update, ApplyBatch and CommitBatch that published an epoch
+	BatchRelations   int64 // distinct relations with a net effect, summed over the applied commits
 }
 
 // nodeInfo caches per-node metadata for materialization and enumeration.
@@ -256,8 +256,8 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 		info:  map[*viewtree.Node]*nodeInfo{},
 		plans: map[*viewtree.Node]map[*viewtree.Node]*updPlan{},
 		slot:  map[tuple.Variable]int{},
-		m:     1,
 	}
+	e.setM(1)
 	// Occurrence rewriting for repeated relation symbols.
 	e.q = q.Clone()
 	if q.HasRepeatedSymbols() {
@@ -311,9 +311,8 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 	e.batchSlots = make([]batchRelState, len(e.relNames))
 	for i, name := range e.relNames {
 		e.relIdx[name] = i + 1
-		occ := e.occ[name]
-		first := e.base[occ[0]]
-		e.batchSlots[i] = batchRelState{rel: name, occ: occ, first: first, arity: len(first.Schema())}
+		first := e.base[e.occ[name][0]]
+		e.batchSlots[i] = batchRelState{rel: name, first: first, arity: len(first.Schema())}
 	}
 
 	// Variable slots.
@@ -447,7 +446,7 @@ func (e *Engine) N() int { return e.n }
 func (e *Engine) ThresholdBase() int { return e.m }
 
 // Theta returns the current partition threshold θ = M^ε.
-func (e *Engine) Theta() float64 { return relation.Threshold(e.m, e.opts.Epsilon) }
+func (e *Engine) Theta() float64 { return e.theta }
 
 // Stats returns activity counters.
 func (e *Engine) Stats() Stats { return e.stats }

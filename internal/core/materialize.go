@@ -47,7 +47,7 @@ func Preprocess(e *Engine, db naive.Database) error {
 	e.recomputeN()
 	// The preprocessing stage sets M = 2N + 1, establishing ⌊M/4⌋ ≤ N < M
 	// (proof of Proposition 27). N is maintained incrementally from here on.
-	e.m = 2*e.n + 1
+	e.setM(2*e.n + 1)
 	e.materializeAll()
 	if e.opts.Mode == viewtree.Dynamic {
 		e.buildRoutes()

@@ -186,19 +186,9 @@ func TestParallelPropagationAllocFree(t *testing.T) {
 		minus.appendRow(tuple.Tuple{a0, 90_000 + i}, -1)
 	}
 	rt := e.routes[e.occ["S"][0]]
-	phase := func(d *delta) {
-		for _, lp := range rt.atomLeaves {
-			e.enqueue(lp, d)
-		}
-		for _, ir := range rt.inds {
-			for _, lp := range ir.allLeaves {
-				e.enqueue(lp, d)
-			}
-		}
-		e.runJobs()
-	}
-	if len(rt.atomLeaves)+len(rt.inds) < 2 {
-		t.Fatalf("query no longer multi-tree: %d atom leaves, %d indicators", len(rt.atomLeaves), len(rt.inds))
+	phase := func(d *delta) { e.propagate(rt.leaves, d) }
+	if len(rt.leaves) < 2 {
+		t.Fatalf("query no longer multi-tree: %d leaves", len(rt.leaves))
 	}
 	// Warm up: spawn the pool, size every worker's scratch and delta pool.
 	for i := 0; i < 5; i++ {

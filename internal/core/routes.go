@@ -39,9 +39,12 @@ type relRoutes struct {
 	base    *relation.Relation
 	countsN bool // rel is the counting occurrence of its original symbol
 
-	atomLeaves []*leafPath // Atom leaves for rel in the main trees
-	inds       []*indRoute // indicators whose All tree contains rel
-	parts      []*partRoute
+	// leaves are the Atom leaves for rel in the main trees and then in the
+	// All tree of each indicator in inds: the trees one propagation phase
+	// of a commit reaches.
+	leaves []*leafPath
+	inds   []*indRoute // indicators whose All tree contains rel
+	parts  []*partRoute
 }
 
 // leafPath is the fixed leaf→root propagation chain above one leaf.
@@ -68,25 +71,17 @@ type indShared struct {
 
 // indRoute routes one occurrence relation into one indicator's All tree.
 type indRoute struct {
-	s          *indShared
-	keyProj    tuple.Projection // base schema → ind.Keys
-	keyScratch tuple.Tuple
-	allLeaves  []*leafPath // Atom leaves for rel in s.ind.All
+	s       *indShared
+	keyProj tuple.Projection // base schema → ind.Keys
 }
 
 // partRoute routes one occurrence relation into one of its partitions.
 type partRoute struct {
-	p           *relation.Partition
-	keyScratch  tuple.Tuple
-	lightLeaves []*leafPath // LightAtom(rel, key) leaves in the main trees
-	inds        []*indLightRoute
-	toLight     bool // per-update routing decision (Figure 19 line 10)
-}
-
-// indLightRoute routes one occurrence relation into one indicator's L tree.
-type indLightRoute struct {
-	s       *indShared
-	lLeaves []*leafPath // LightAtom(rel, key) leaves in s.ind.L
+	p *relation.Partition
+	// leaves are the LightAtom(rel, key) leaves in the main trees and then
+	// in the L tree of each indicator in inds.
+	leaves []*leafPath
+	inds   []*indShared // indicators keyed like p whose L tree contains rel
 }
 
 // buildRoutes constructs the routing tables. It requires all views to be
@@ -136,7 +131,7 @@ func (e *Engine) buildRoutes() {
 		for _, tr := range mainTrees {
 			walkNodes(tr, func(n *viewtree.Node) {
 				if n.Kind == viewtree.Atom && n.Rel == occName {
-					rt.atomLeaves = append(rt.atomLeaves, e.buildPath(n))
+					rt.leaves = append(rt.leaves, e.buildPath(n))
 				}
 			})
 		}
@@ -144,13 +139,12 @@ func (e *Engine) buildRoutes() {
 			if !containsRel(ind.Rels, occName) {
 				continue
 			}
-			ir := &indRoute{s: shared[ind], keyProj: tuple.MustProjection(base.Schema(), ind.Keys)}
 			walkNodes(ind.All, func(n *viewtree.Node) {
 				if n.Kind == viewtree.Atom && n.Rel == occName {
-					ir.allLeaves = append(ir.allLeaves, e.buildPath(n))
+					rt.leaves = append(rt.leaves, e.buildPath(n))
 				}
 			})
-			rt.inds = append(rt.inds, ir)
+			rt.inds = append(rt.inds, &indRoute{s: shared[ind], keyProj: tuple.MustProjection(base.Schema(), ind.Keys)})
 		}
 		for id, p := range e.parts {
 			if id.Rel != occName {
@@ -160,7 +154,7 @@ func (e *Engine) buildRoutes() {
 			for _, tr := range mainTrees {
 				walkNodes(tr, func(n *viewtree.Node) {
 					if n.Kind == viewtree.LightAtom && n.Rel == occName && n.Keys.Equal(p.Key()) {
-						pr.lightLeaves = append(pr.lightLeaves, e.buildPath(n))
+						pr.leaves = append(pr.leaves, e.buildPath(n))
 					}
 				})
 			}
@@ -168,17 +162,22 @@ func (e *Engine) buildRoutes() {
 				if !containsRel(ind.Rels, occName) || !ind.Keys.Equal(p.Key()) {
 					continue
 				}
-				il := &indLightRoute{s: shared[ind]}
 				walkNodes(ind.L, func(n *viewtree.Node) {
 					if n.Kind == viewtree.LightAtom && n.Rel == occName && n.Keys.Equal(p.Key()) {
-						il.lLeaves = append(il.lLeaves, e.buildPath(n))
+						pr.leaves = append(pr.leaves, e.buildPath(n))
 					}
 				})
-				pr.inds = append(pr.inds, il)
+				pr.inds = append(pr.inds, shared[ind])
 			}
 			rt.parts = append(rt.parts, pr)
 		}
 		e.routes[occName] = rt
+	}
+	for i := range e.batchSlots {
+		br := &e.batchSlots[i]
+		for _, o := range e.occ[br.rel] {
+			br.routes = append(br.routes, e.routes[o])
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // Reader/writer epochs. Every committed write operation (Preprocess, each
-// Update, each batch commit — major rebalances commit inside them)
+// applied commit, Update included — major rebalances commit inside them)
 // publishes a new epoch under the engine's writer lock. Snapshot, also
 // under the lock, captures the epoch plus a frozen handle
 // (relation.Freeze) for every relation enumeration can reach, so a
@@ -87,10 +87,10 @@ func (e *Engine) invalidateGenLocked() {
 }
 
 // Snapshot is an immutable view of one committed engine state. It
-// enumerates with its own binding state, concurrently with Update and
-// ApplyBatch on the engine and with other snapshots; the Snapshot itself is
-// not safe for concurrent use — take one snapshot per reader goroutine
-// (snapshots of one epoch share their frozen storage, which is read-only).
+// enumerates with its own binding state, concurrently with commits on the
+// engine and with other snapshots; the Snapshot itself is not safe for
+// concurrent use — take one snapshot per reader goroutine (snapshots of
+// one epoch share their frozen storage, which is read-only).
 // Close it when done so the writer can stop preserving its generation.
 type Snapshot struct {
 	e      *Engine

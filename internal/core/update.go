@@ -10,21 +10,27 @@ import (
 
 // The maintenance machinery of Section 6: delta propagation along
 // leaf-to-root paths (Apply, Figure 17), indicator maintenance
-// (UpdateIndTree, Figure 18; UpdateTrees, Figure 19), and the rebalancing
-// trigger OnUpdate (Figures 20–22). The static structure of each step —
-// which leaves an update reaches and the plan of every propagation step —
-// is precomputed at Build time (routes.go); the code here only executes
-// those routes, and the single-tuple steady state runs without heap
-// allocation: deltas are pooled, their rows live in reused backing buffers,
-// and every relation probe hashes the unencoded tuple directly against the
+// (UpdateIndTree, Figure 18), and minor and major rebalancing (Figures
+// 20–21). The commit path of batch.go drives it: UpdateTrees (Figure 19)
+// and the OnUpdate trigger (Figure 22) run there once per commit, with a
+// single-tuple Update being a one-op commit. The static structure of each
+// step — which leaves an update reaches and the plan of every propagation
+// step — is precomputed at Build time (routes.go); the code here only
+// executes those routes, without heap allocation in steady state: deltas
+// are pooled, their rows live in reused backing buffers, and every
+// relation probe hashes the unencoded tuple directly against the
 // relation's open-addressing table.
 
-// delta is a small relation of weighted tuples. Rows aggregate by tuple:
-// add coalesces equal tuples, by linear scan while the delta is small and
-// through a lazily built tuple-keyed index once it grows. The index is a
-// pooled open-addressing map that survives reset (cleared, not dropped), so
-// repeated >16-row propagation steps through one delta pool stop
-// reallocating it.
+// delta is a small relation of weighted tuples, and the engine's one
+// pooled tuple-grouping structure: propagation steps aggregate their output
+// rows in it, and a commit groups its ops, partition keys and indicator keys
+// with it. Rows aggregate by tuple: index finds or appends a tuple's row,
+// by linear scan while the delta is small — a single-tuple commit groups
+// one row — and through a lazily built tuple-keyed index once it grows. The
+// index is a pooled open-addressing map that survives reset (cleared, not
+// dropped), so repeated >16-row steps through one delta stop reallocating
+// it. Row tuples are copies in the delta's own buffer, so a delta never
+// references its caller's tuples.
 type delta struct {
 	rows    []weighted
 	buf     tuple.Tuple  // backing storage for row tuples
@@ -37,7 +43,8 @@ type weighted struct {
 	m int64
 }
 
-// deltaLinearMax is the row count up to which add dedups by linear scan.
+// deltaLinearMax is the row count up to which index finds rows by linear
+// scan.
 const deltaLinearMax = 16
 
 func (d *delta) reset() {
@@ -50,7 +57,9 @@ func (d *delta) reset() {
 }
 
 // appendRow appends {t → m} without checking for an existing equal tuple.
-// The tuple is copied into the delta's backing buffer.
+// The tuple is copied into the delta's backing buffer. A buffer that grows
+// moves, but the earlier rows keep pointing at the old backing array, whose
+// contents nothing overwrites.
 func (d *delta) appendRow(t tuple.Tuple, m int64) int {
 	start := len(d.buf)
 	d.buf = append(d.buf, t...)
@@ -58,18 +67,16 @@ func (d *delta) appendRow(t tuple.Tuple, m int64) int {
 	return len(d.rows) - 1
 }
 
-// add accumulates {t → m} into the delta, aggregating rows by tuple.
-func (d *delta) add(t tuple.Tuple, m int64) {
+// index returns the row holding t, appending {t → 0} if there is none.
+func (d *delta) index(t tuple.Tuple) int {
 	if !d.indexed {
 		if len(d.rows) <= deltaLinearMax {
 			for i := range d.rows {
 				if d.rows[i].t.Equal(t) {
-					d.rows[i].m += m
-					return
+					return i
 				}
 			}
-			d.appendRow(t, m)
-			return
+			return d.appendRow(t, 0)
 		}
 		for i := range d.rows {
 			d.idx.Put(d.rows[i].t, i)
@@ -77,72 +84,46 @@ func (d *delta) add(t tuple.Tuple, m int64) {
 		d.indexed = true
 	}
 	i, h, ok := d.idx.GetHash(t)
-	if ok {
-		d.rows[i].m += m
-		return
+	if !ok {
+		i = d.appendRow(t, 0)
+		d.idx.PutHashed(h, d.rows[i].t, i)
 	}
-	i = d.appendRow(t, m)
-	d.idx.PutHashed(h, d.rows[i].t, i)
+	return i
 }
 
-// Update applies a single-tuple update δR = {t → m} to relation rel:
-// m > 0 inserts, m < 0 deletes. Deletes that exceed the stored multiplicity
-// are rejected. This is the paper's OnUpdate trigger (Figure 22), including
-// minor and major rebalancing; the amortized cost is O(N^(δε))
-// (Proposition 27).
-func (e *Engine) Update(rel string, t tuple.Tuple, m int64) error {
-	// The writer lock orders the update against snapshot capture: a
-	// Snapshot sees the state before or after this update, never during.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.preprocessed {
-		return fmt.Errorf("core: Update: %w (run Preprocess first)", ErrNotBuilt)
+// add accumulates {t → m} into the delta, aggregating rows by tuple. It is
+// index with the small-delta scan kept inline: propagation calls it once
+// per output row.
+func (d *delta) add(t tuple.Tuple, m int64) {
+	if !d.indexed && len(d.rows) <= deltaLinearMax {
+		for i := range d.rows {
+			if d.rows[i].t.Equal(t) {
+				d.rows[i].m += m
+				return
+			}
+		}
+		d.appendRow(t, m)
+		return
 	}
-	if e.opts.Mode != viewtree.Dynamic {
-		return fmt.Errorf("core: %w; rebuild with Mode: Dynamic for updates", ErrStatic)
-	}
-	if e.degraded != nil {
-		return e.degraded
-	}
-	occ, ok := e.occ[rel]
-	if !ok {
-		return fmt.Errorf("core: %w: %q (query %s)", ErrUnknownRelation, rel, e.orig)
-	}
-	if m == 0 {
-		return nil
-	}
-	first := e.base[occ[0]]
-	if len(t) != len(first.Schema()) {
-		return &relation.ArityError{Relation: rel, Tuple: t.Clone(), Schema: first.Schema()}
-	}
-	// Validate against the first occurrence (all occurrences are identical).
-	if cur := first.Mult(t); cur+m < 0 {
-		return &relation.MultiplicityError{Relation: rel, Tuple: t.Clone(), Have: cur, Delta: m}
-	}
-	// Durability point (see durable.go): a single-tuple update is a one-op
-	// commit — log it after validation, before the first relation write,
-	// through the pooled one-op slice.
-	if e.commitHook != nil {
-		e.hookOp[0] = BatchOp{Rel: rel, RelID: e.relIdx[rel], Row: t, Mult: m}
-		err := e.runCommitHookLocked(e.epoch+1, e.hookOp[:])
-		e.hookOp[0] = BatchOp{} // drop the reference into the caller's row
-		if err != nil {
-			return err
+	d.rows[d.index(t)].m += m
+}
+
+// dropZeros removes the rows whose multiplicities cancelled out. It leaves
+// the tuple index stale: the delta only takes reset afterwards. A delta
+// with no such row, the common case, is only read.
+func (d *delta) dropZeros() {
+	for i := range d.rows {
+		if d.rows[i].m == 0 {
+			rows := d.rows[:i]
+			for _, r := range d.rows[i+1:] {
+				if r.m != 0 {
+					rows = append(rows, r)
+				}
+			}
+			d.rows = rows
+			return
 		}
 	}
-	// The update will mutate relations: release the cached snapshot
-	// generation first so an idle cache does not force copy-on-write.
-	e.invalidateGenLocked()
-	// Footnote 2: an update to a repeated relation symbol is a sequence of
-	// updates to each occurrence.
-	for _, o := range occ {
-		e.onUpdate(e.routes[o], t, m)
-	}
-	e.stats.Updates++
-	e.flushWorkerStats()
-	e.epoch++ // commit point: publish the new state to future snapshots
-	e.publishCommitLocked()
-	return nil
 }
 
 // flushWorkerStats folds the engine goroutine's propagation counters into
@@ -153,100 +134,15 @@ func (e *Engine) flushWorkerStats() {
 }
 
 // setM sets the rebalancing threshold base, clamped to ≥ 1 so the size
-// invariant ⌊M/4⌋ ≤ N < M stays meaningful on an empty database.
+// invariant ⌊M/4⌋ ≤ N < M stays meaningful on an empty database, and the
+// partition threshold θ = M^ε, which changes only with M: commits read θ
+// without a math.Pow each.
 func (e *Engine) setM(m int) {
 	if m < 1 {
 		m = 1
 	}
 	e.m = m
-}
-
-// onUpdate is Figure 22 for one occurrence relation.
-func (e *Engine) onUpdate(rt *relRoutes, t tuple.Tuple, m int64) {
-	e.updateTrees(rt, t, m)
-	switch {
-	case e.n >= e.m:
-		// Double M and recompute (Figure 22, lines 2–4).
-		e.setM(2 * e.m)
-		e.majorRebalance()
-	case e.n < e.m/4:
-		// Halve M and recompute (lines 5–7). ⌊M/2⌋ − 1 keeps N < M.
-		e.setM(e.m/2 - 1)
-		e.majorRebalance()
-	default:
-		// Minor rebalancing checks per partition of rel (lines 9–15).
-		theta := e.Theta()
-		for _, pr := range rt.parts {
-			pr.keyScratch = pr.p.AppendKeyOf(pr.keyScratch[:0], t)
-			key := pr.keyScratch
-			lightDeg := float64(pr.p.LightDegree(key))
-			fullDeg := float64(pr.p.Degree(key))
-			if lightDeg == 0 && fullDeg > 0 && fullDeg < 0.5*theta {
-				e.minorRebalance(pr, key, true)
-			} else if lightDeg >= 1.5*theta {
-				e.minorRebalance(pr, key, false)
-			}
-		}
-	}
-}
-
-// updateTrees is UpdateTrees (Figure 19), driven by the precomputed routes.
-func (e *Engine) updateTrees(rt *relRoutes, t tuple.Tuple, m int64) {
-	base := rt.base
-	d := &e.ws0.d1
-	d.reset()
-	d.appendRow(t, m)
-
-	// Pre-update routing decision for the light parts (Figure 19 line 10:
-	// the update belongs to the light part if its key is new or light).
-	for _, pr := range rt.parts {
-		pr.keyScratch = pr.p.AppendKeyOf(pr.keyScratch[:0], t)
-		pr.toLight = pr.p.Degree(pr.keyScratch) == 0 || pr.p.IsLight(pr.keyScratch)
-	}
-
-	// Apply δR to the base relation once, maintaining N incrementally, then
-	// propagate through every main tree and every affected All tree
-	// (Figure 19 lines 1 and 6).
-	before := base.Size()
-	base.MustAdd(t, m)
-	if rt.countsN {
-		e.n += base.Size() - before
-	}
-	for _, lp := range rt.atomLeaves {
-		e.ws0.propagatePath(lp, d)
-	}
-	for _, ir := range rt.inds {
-		for _, lp := range ir.allLeaves {
-			e.ws0.propagatePath(lp, d)
-		}
-		// δ(∃H) from the All change (lines 7–9).
-		ir.keyScratch = ir.keyProj.AppendTo(ir.keyScratch[:0], t)
-		if dh := e.refreshH(ir.s, ir.keyScratch); dh != 0 {
-			e.propagateIndicator(ir.s, ir.keyScratch, dh)
-		}
-	}
-
-	// Route to the light parts (lines 10–14).
-	for _, pr := range rt.parts {
-		if !pr.toLight {
-			continue
-		}
-		pr.p.Light().MustAdd(t, m)
-		for _, lp := range pr.lightLeaves {
-			e.ws0.propagatePath(lp, d)
-		}
-		// The light indicator trees and the resulting ∃H changes. The
-		// indicator keys equal the partition key (ind.Keys = p.Key()),
-		// still in pr.keyScratch from the routing pass.
-		for _, il := range pr.inds {
-			for _, lp := range il.lLeaves {
-				e.ws0.propagatePath(lp, d)
-			}
-			if dh := e.refreshH(il.s, pr.keyScratch); dh != 0 {
-				e.propagateIndicator(il.s, pr.keyScratch, dh)
-			}
-		}
-	}
+	e.theta = relation.Threshold(m, e.opts.Epsilon)
 }
 
 func containsRel(rels []string, r string) bool {
@@ -543,15 +439,12 @@ func (e *Engine) minorRebalance(pr *partRoute, key tuple.Tuple, insert bool) {
 	// the indicator light trees (Figure 21, lines 4–7). All moved tuples
 	// share the partition key, which equals the indicator key, so one ∃H
 	// refresh per indicator suffices.
-	for _, lp := range pr.lightLeaves {
+	for _, lp := range pr.leaves {
 		e.ws0.propagatePath(lp, d)
 	}
-	for _, il := range pr.inds {
-		for _, lp := range il.lLeaves {
-			e.ws0.propagatePath(lp, d)
-		}
-		if dh := e.refreshH(il.s, key); dh != 0 {
-			e.propagateIndicator(il.s, key, dh)
+	for _, s := range pr.inds {
+		if dh := e.refreshH(s, key); dh != 0 {
+			e.propagateIndicator(s, key, dh)
 		}
 	}
 	e.ws0.putDelta(d)

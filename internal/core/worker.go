@@ -52,10 +52,6 @@ type workerState struct {
 	ubind     []tuple.Value // binding slots for update plans
 	deltaPool []*delta
 
-	// d1 is the reusable single-row delta of the single-tuple update path
-	// (used only via the engine's ws0).
-	d1 delta
-
 	// cap points at the engine's commit-delta capture slots while a sink
 	// is subscribed, nil otherwise (watch.go). Set under the writer lock;
 	// helpers observe changes through the pool's channel handoff.
@@ -145,6 +141,26 @@ func (p *workerPool) close() {
 	}
 }
 
+// propagate runs one propagation phase: it pushes d from every leaf to
+// its tree's root. A phase too small to amortize the pool handoff — fewer
+// than parallelMinRows input rows over all its jobs, as every phase of a
+// single-tuple commit is — runs inline on the engine goroutine, in leaf
+// order. A larger one is queued per tree and drained by runJobs. Either
+// way each tree sees its jobs in leaf order, and the trees of one phase are
+// independent, so the result does not depend on the choice.
+func (e *Engine) propagate(leaves []*leafPath, d *delta) {
+	if e.nWorkers == 1 || len(leaves)*len(d.rows) < parallelMinRows {
+		for _, lp := range leaves {
+			e.ws0.propagatePath(lp, d)
+		}
+		return
+	}
+	for _, lp := range leaves {
+		e.enqueue(lp, d)
+	}
+	e.runJobs()
+}
+
 // enqueue queues one propagation job on the leaf's tree group.
 func (e *Engine) enqueue(lp *leafPath, d *delta) {
 	g := lp.tree
@@ -154,23 +170,21 @@ func (e *Engine) enqueue(lp *leafPath, d *delta) {
 	e.jobGroups[g] = append(e.jobGroups[g], propJob{lp: lp, d: d})
 }
 
-// parallelMinRows is the minimum queued delta-row volume (summed over the
-// phase's jobs) before runJobs pays for the pool handoff; smaller phases —
-// e.g. the light routing of a partition that received a handful of rows —
-// run faster inline. Tests zero it to force every phase onto the pool.
+// parallelMinRows is the minimum delta-row volume (summed over the phase's
+// jobs) before a phase pays for the pool handoff; smaller phases — e.g.
+// the light routing of a partition that received a handful of rows — run
+// faster inline. Tests zero it to force every phase onto the pool.
 var parallelMinRows = 64
 
-// runJobs drains all queued job groups, in parallel when the engine has
-// workers, the phase spans more than one tree, and the queued work is
-// large enough to amortize the pool handoff. Within a tree, jobs run in
-// enqueue order; the deltas referenced by the jobs are read-only for the
-// duration of the phase.
+// runJobs drains all queued job groups, in parallel when the phase spans
+// more than one tree. Within a tree, jobs run in enqueue order; the deltas
+// referenced by the jobs are read-only for the duration of the phase.
 func (e *Engine) runJobs() {
 	groups := e.activeGroups
 	if len(groups) == 0 {
 		return
 	}
-	if e.nWorkers > 1 && len(groups) > 1 && e.queuedRows(groups) >= parallelMinRows {
+	if len(groups) > 1 {
 		e.runJobsParallel(groups)
 	} else {
 		for _, g := range groups {
@@ -184,18 +198,6 @@ func (e *Engine) runJobs() {
 		e.jobGroups[g] = e.jobGroups[g][:0]
 	}
 	e.activeGroups = e.activeGroups[:0]
-}
-
-// queuedRows estimates a phase's work as the total input delta rows across
-// its queued jobs.
-func (e *Engine) queuedRows(groups []int) int {
-	rows := 0
-	for _, g := range groups {
-		for j := range e.jobGroups[g] {
-			rows += len(e.jobGroups[g][j].d.rows)
-		}
-	}
-	return rows
 }
 
 func (e *Engine) runJobsParallel(groups []int) {

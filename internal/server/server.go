@@ -139,17 +139,6 @@ func (s *Server) Draining() bool {
 	}
 }
 
-// epoch samples the committed snapshot epoch (cheap: warm snapshot capture
-// is cached per epoch).
-func (s *Server) epoch() uint64 {
-	snap, err := s.eng.Snapshot()
-	if err != nil {
-		return 0
-	}
-	defer snap.Close()
-	return snap.Epoch()
-}
-
 // reply writes a JSON response body.
 func (s *Server) reply(w http.ResponseWriter, ep endpoint, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -194,7 +183,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	s.batch.Reset() // drop row references before releasing the lock
 	var epoch uint64
 	if err == nil {
-		epoch = s.epoch()
+		epoch = s.eng.Epoch()
 	}
 	s.commitMu.Unlock()
 
@@ -214,7 +203,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.eng.Stats()
 	s.reply(w, epStats, http.StatusOK, &StatsReply{
 		Query:    s.opts.Query,
-		Epoch:    s.epoch(),
+		Epoch:    s.eng.Epoch(),
 		N:        s.eng.N(),
 		Views:    s.eng.Views(),
 		Watchers: s.metrics.watchers.Load(),

@@ -151,7 +151,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// path, tell the client the stream ended on purpose with nothing lost.
 	if drained.Load() {
 		s.metrics.watchDrained.Add(1)
-		send(&Frame{Type: FrameEnd, Epoch: s.epoch(), Reason: "draining"})
+		send(&Frame{Type: FrameEnd, Epoch: s.eng.Epoch(), Reason: "draining"})
 	}
 }
 

@@ -158,3 +158,47 @@ func TestIntMapSteadyStateZeroAllocs(t *testing.T) {
 		t.Errorf("warmed Reset+Put+Get cycle allocates %v per run, want 0", n)
 	}
 }
+
+// TestIntMapResetClearsEverySlot pins Reset's contract on both of its
+// paths: after a sparse reset (few keys in a large slot array, cleared slot
+// by slot) and after a dense one (cleared in one pass), no old key is
+// found and no slot still references a key.
+func TestIntMapResetClearsEverySlot(t *testing.T) {
+	var m IntMap
+	for i := 0; i < 5000; i++ {
+		m.Put(Tuple{int64(i), 7}, i) // grow the slot array well past the next fills
+	}
+	for _, tc := range []struct {
+		name string
+		keys int
+	}{
+		{"sparse", 3},
+		{"dense", 5000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m.Reset()
+			keys := make([]Tuple, tc.keys)
+			for i := range keys {
+				keys[i] = Tuple{int64(i), 11}
+				m.Put(keys[i], i)
+			}
+			if sparse := m.count*8 < len(m.slots); sparse != (tc.name == "sparse") {
+				t.Fatalf("%d keys in %d slots: sparse=%v, want the %s path", m.count, len(m.slots), sparse, tc.name)
+			}
+			m.Reset()
+			if m.Len() != 0 {
+				t.Fatalf("Len after Reset = %d", m.Len())
+			}
+			for _, k := range keys {
+				if _, ok := m.Get(k); ok {
+					t.Fatalf("key %v survives Reset", k)
+				}
+			}
+			for i := range m.slots {
+				if m.slots[i].key != nil {
+					t.Fatalf("slot %d still references key %v after Reset", i, m.slots[i].key)
+				}
+			}
+		})
+	}
+}

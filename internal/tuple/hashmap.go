@@ -4,7 +4,10 @@ package tuple
 // unencoded tuples (no key string is ever built). It is the pooled grouping
 // table of the batch-update hot paths: Reset clears the map while keeping
 // its slot array and key arena, so a map reused across batches stops
-// allocating once it has grown to the working-set size.
+// allocating once it has grown to the working-set size. Reset costs
+// O(keys stored), not O(slot capacity): a map that once held a huge batch
+// keeps its slot array, and the small batches after it must not pay for
+// clearing all of it.
 //
 // Keys passed to Put are stored by reference and must stay valid (and
 // unmodified) until the next Reset; PutCopy copies the key into an internal
@@ -14,14 +17,20 @@ type IntMap struct {
 	slots []intMapSlot
 	mask  uint64
 	count int
+	last  int32 // 1 + index of the most recently filled slot, 0 when empty
 	seed  uint64
 	arena Tuple // backing storage for PutCopy keys, truncated by Reset
 }
 
 // intMapSlot is one open-addressing slot; key == nil marks it empty (empty
-// tuples are stored as a non-nil zero-length slice).
+// tuples are stored as a non-nil zero-length slice). The filled slots form
+// a chain through prev (1 + index of the slot filled before this one, 0 for
+// the first), so a sparse Reset visits only them at no extra allocation.
+// hash keeps the low 32 bits of the key's hash: all that probing a slot
+// array of up to 2^31 slots reads, and it keeps the slot at 40 bytes.
 type intMapSlot struct {
-	hash uint64
+	hash uint32
+	prev int32
 	key  Tuple
 	val  int
 }
@@ -64,7 +73,7 @@ func (m *IntMap) GetHash(t Tuple) (int, uint64, bool) {
 		if s.key == nil {
 			return 0, h, false
 		}
-		if s.hash == h && s.key.Equal(t) {
+		if s.hash == uint32(h) && s.key.Equal(t) {
 			return s.val, h, true
 		}
 	}
@@ -89,7 +98,8 @@ func (m *IntMap) PutHashed(h uint64, t Tuple, v int) {
 	for i := h & m.mask; ; i = (i + 1) & m.mask {
 		s := &m.slots[i]
 		if s.key == nil {
-			s.hash, s.key, s.val = h, t, v
+			*s = intMapSlot{hash: uint32(h), prev: m.last, key: t, val: v}
+			m.last = int32(i) + 1
 			m.count++
 			return
 		}
@@ -113,16 +123,25 @@ func (m *IntMap) PutCopyHashed(h uint64, t Tuple, v int) {
 // Reset empties the map, keeping the slot array and key arena for reuse.
 // Keys stored by reference are released; arena-copied keys are overwritten
 // by subsequent PutCopy calls.
+//
+// A sparse map (fewer keys than an eighth of its slots) clears just its
+// occupied slots; a dense one clears the whole slot array in one pass.
 func (m *IntMap) Reset() {
-	if m.count > 0 {
+	if m.count*8 < len(m.slots) {
+		for i := m.last; i != 0; {
+			s := &m.slots[i-1]
+			i = s.prev
+			*s = intMapSlot{}
+		}
+	} else if m.count > 0 {
 		clear(m.slots)
-		m.count = 0
 	}
+	m.count, m.last = 0, 0
 	m.arena = m.arena[:0]
 }
 
 // grow doubles the slot array (allocating the initial one on first use) and
-// reinserts the stored keys by their cached hashes.
+// reinserts the stored keys by their cached hashes, rebuilding the chain.
 func (m *IntMap) grow() {
 	old := m.slots
 	n := 2 * len(old)
@@ -131,14 +150,15 @@ func (m *IntMap) grow() {
 	}
 	m.slots = make([]intMapSlot, n)
 	m.mask = uint64(n - 1)
-	for i := range old {
-		s := &old[i]
-		if s.key == nil {
-			continue
-		}
-		for j := s.hash & m.mask; ; j = (j + 1) & m.mask {
+	i := m.last
+	m.last = 0
+	for i != 0 {
+		s := &old[i-1]
+		i = s.prev
+		for j := uint64(s.hash) & m.mask; ; j = (j + 1) & m.mask {
 			if m.slots[j].key == nil {
-				m.slots[j] = *s
+				m.slots[j] = intMapSlot{hash: s.hash, prev: m.last, key: s.key, val: s.val}
+				m.last = int32(j) + 1
 				break
 			}
 		}

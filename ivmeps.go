@@ -533,6 +533,13 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	return &Snapshot{s: e.e.Snapshot()}, nil
 }
 
+// Epoch returns the engine's committed epoch: the number of committed
+// write operations, with Build counting as the first (0 before Build). It
+// equals the Epoch of a Snapshot captured now, without capturing one. A
+// failed or empty commit leaves it unchanged. Epoch may be called from any
+// goroutine.
+func (e *Engine) Epoch() uint64 { return e.e.Epoch() }
+
 // Snapshot is an immutable view of one committed engine state, enumerable
 // concurrently with updates to the engine it came from. See
 // Engine.Snapshot.
@@ -619,11 +626,12 @@ type Stats struct {
 	MinorRebalances int64
 	MajorRebalances int64
 	ViewDeltas      int64
-	// Batches counts committed batches (Commit and ApplyBatch calls that
-	// ran to commit), and BatchRelations the distinct relations with a net
-	// effect (ops that did not cancel out within the batch), summed over
-	// those batches — BatchRelations/Batches is the mean effective fan-out
-	// of the ingest stream across the query's relations.
+	// Batches counts applied commits — every Apply, Insert, Delete,
+	// ApplyBatch and Commit that published an epoch, a single-tuple Apply
+	// being a one-op commit — and BatchRelations the distinct relations
+	// with a net effect (ops that did not cancel out within the commit),
+	// summed over those commits: BatchRelations/Batches is the mean
+	// effective fan-out of the ingest stream across the query's relations.
 	Batches        int64
 	BatchRelations int64
 }

@@ -117,11 +117,15 @@ func testServerLoopback(t *testing.T, workers int) {
 	var wg sync.WaitGroup
 
 	// Local ground truth #1: the in-process watcher fold, per epoch.
+	// It must subscribe before the first commit: it is the reference for
+	// every epoch a remote watcher folds, from the built epoch on.
 	localRef := &svcFoldRecord{name: "local", views: views, byEp: make(map[uint64]map[string]string)}
+	localSubscribed := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		wat, err := eng.Watch(ivmeps.WatchOptions{})
+		close(localSubscribed)
 		if err != nil {
 			t.Errorf("local watch: %v", err)
 			return
@@ -328,6 +332,7 @@ func testServerLoopback(t *testing.T, workers int) {
 		return svcCanon(m)
 	}
 	b := c.NewBatch()
+	<-localSubscribed
 	for k := 0; k < commits; k++ {
 		b.Reset()
 		pending := map[string]map[[2]int64]int64{"R": {}, "S": {}}

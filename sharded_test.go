@@ -319,3 +319,52 @@ func TestShardedCommitSteadyStateZeroAllocs(t *testing.T) {
 		t.Errorf("steady sharded commit cycle allocates %v per run, want 0", n)
 	}
 }
+
+// TestStatsBatchesCountEveryCommit pins the one meaning of Stats.Batches:
+// every applied commit counts, a single-tuple Apply being a one-op commit.
+// The same mixed Apply/Commit stream on an Engine and on a one-shard
+// Sharded must report the same Updates, Batches and BatchRelations.
+func TestStatsBatchesCountEveryCommit(t *testing.T) {
+	e, s := shardedPair(t, "Q(A, C) = R(A, B), S(B, C)", 1, rand.New(rand.NewSource(12)), 20, 6)
+	type stats struct{ updates, batches, rels int64 }
+	get := func(st ivmeps.Stats) stats { return stats{st.Updates, st.Batches, st.BatchRelations} }
+	before := get(e.Stats())
+	applyBoth := func(rel string, row []int64, mult int64) {
+		t.Helper()
+		errE, errS := e.Apply(rel, row, mult), s.Apply(rel, row, mult)
+		if (errE == nil) != (errS == nil) {
+			t.Fatalf("Apply(%s, %v, %d): engine error %v, sharded error %v", rel, row, mult, errE, errS)
+		}
+	}
+	commitBoth := func(fill func(b *ivmeps.Batch)) {
+		t.Helper()
+		be, bs := e.NewBatch(), s.NewBatch()
+		fill(be)
+		fill(bs)
+		errE, errS := e.Commit(be), s.Commit(bs)
+		if errE != nil || errS != nil {
+			t.Fatalf("Commit: engine error %v, sharded error %v", errE, errS)
+		}
+	}
+	applyBoth("R", []int64{100, 1}, 1)
+	applyBoth("S", []int64{1, 200}, 2)
+	commitBoth(func(b *ivmeps.Batch) {
+		b.Insert("R", []int64{101, 1}).Insert("S", []int64{1, 201})
+	})
+	commitBoth(func(b *ivmeps.Batch) {
+		// R nets to zero: the commit counts, with one relation of effect.
+		b.Insert("R", []int64{102, 2}).Delete("R", []int64{102, 2}).Insert("S", []int64{2, 202})
+	})
+	applyBoth("R", []int64{100, 1}, -1)
+	applyBoth("R", []int64{999, 999}, -1) // rejected: counts nowhere
+	applyBoth("S", []int64{1, 200}, 0)    // no-op: counts nowhere
+
+	gotE, gotS := get(e.Stats()), get(s.Stats())
+	if gotE != gotS {
+		t.Fatalf("Engine stats %+v, Sharded (K=1) stats %+v: want equal", gotE, gotS)
+	}
+	want := stats{updates: before.updates + 8, batches: before.batches + 5, rels: before.rels + 6}
+	if gotE != want {
+		t.Fatalf("Engine stats %+v, want %+v", gotE, want)
+	}
+}
