@@ -7,8 +7,9 @@ import (
 )
 
 // Batch collects single-tuple updates — inserts, deletes, weighted applies
-// — across any of the engine's relations, for Engine.Commit (or
-// Sharded.Commit) to apply as one atomic maintenance commit. The zero Batch
+// — across any of the engine's relations, for Engine.Commit to apply as one
+// atomic maintenance commit; it is the engine's one batch write API, for
+// one relation as for many. The zero Batch
 // obtained from NewBatch is empty; the builder methods never fail
 // (validation happens in Commit) and return the batch for chaining:
 //
@@ -29,7 +30,7 @@ import (
 // validates ids instead of repeating per-op name lookups, and committing a
 // batch to a different engine is rejected.
 type Batch struct {
-	owner   any              // the *Engine or *Sharded that created it
+	owner   *Engine          // the engine that created it
 	resolve func(string) int // owner's relation-id table
 	lastRel string           // one-entry resolution cache for the
 	lastID  int              // common runs-of-one-relation pattern
@@ -38,7 +39,7 @@ type Batch struct {
 
 // NewBatch returns an empty update batch for this engine. The batch may be
 // built before or after Build, but only committed after.
-func (e *Engine) NewBatch() *Batch { return &Batch{owner: e, resolve: e.e.RelID} }
+func (e *Engine) NewBatch() *Batch { return &Batch{owner: e, resolve: e.m.RelID} }
 
 // Insert queues the single-tuple insert {row → +1} against rel.
 func (b *Batch) Insert(rel string, row []int64) *Batch { return b.Apply(rel, row, 1) }
@@ -82,11 +83,16 @@ func (b *Batch) Reset() {
 // (Options.Workers), and the whole commit publishes one snapshot epoch — a
 // concurrent Snapshot observes all of the batch or none of it.
 //
+// On a sharded engine every shard validates its sub-batch before any
+// applies, a shard-detected failure arrives wrapped in a ShardError, and
+// the commit publishes one federation epoch across all shards.
+//
 // The observable result — the enumerated query output, N, and the
 // maintenance invariants — is identical to applying the same updates in
-// order with Apply; the amortized cost per row is what ApplyBatch provides,
-// now across relations. Commit does not consume the batch; Reset it before
-// building the next one.
+// order with Apply, at a lower amortized cost per row: every view tree is
+// walked once per touched relation instead of once per update, and the
+// rebalancing checks run once per distinct partition key. Commit does not
+// consume the batch; Reset it before building the next one.
 func (e *Engine) Commit(b *Batch) error {
 	if !e.built {
 		return fmt.Errorf("ivmeps: Commit: %w (call Build first)", ErrNotBuilt)
@@ -97,5 +103,5 @@ func (e *Engine) Commit(b *Batch) error {
 	if b.owner != e {
 		return fmt.Errorf("ivmeps: Commit: batch was created by a different engine")
 	}
-	return wrapErr(e.e.CommitBatch(b.ops))
+	return wrapErr(e.m.CommitBatch(b.ops))
 }

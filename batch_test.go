@@ -198,9 +198,6 @@ func TestExportedErrors(t *testing.T) {
 	if err := e.Apply("R", []int64{1, 2}, 1); !errors.Is(err, ErrNotBuilt) {
 		t.Fatalf("Apply before Build: %v, want ErrNotBuilt", err)
 	}
-	if err := e.ApplyBatch("R", [][]int64{{1, 2}}, nil); !errors.Is(err, ErrNotBuilt) {
-		t.Fatalf("ApplyBatch before Build: %v, want ErrNotBuilt", err)
-	}
 	if err := e.Commit(e.NewBatch().Insert("R", []int64{1, 2})); !errors.Is(err, ErrNotBuilt) {
 		t.Fatalf("Commit before Build: %v, want ErrNotBuilt", err)
 	}
@@ -248,9 +245,6 @@ func TestExportedErrors(t *testing.T) {
 	}
 	if err := e.Apply("Z", []int64{1}, 1); !errors.Is(err, ErrUnknownRelation) {
 		t.Fatalf("Apply to unknown relation: %v, want ErrUnknownRelation", err)
-	}
-	if err := e.ApplyBatch("Z", [][]int64{{1}}, nil); !errors.Is(err, ErrUnknownRelation) {
-		t.Fatalf("ApplyBatch to unknown relation: %v, want ErrUnknownRelation", err)
 	}
 	if err := e.Commit(e.NewBatch().Insert("Z", []int64{1})); !errors.Is(err, ErrUnknownRelation) {
 		t.Fatalf("Commit to unknown relation: %v, want ErrUnknownRelation", err)

@@ -100,7 +100,7 @@ func run() int {
 	defer eng.Close()
 
 	srv := server.New(eng, server.Options{Query: q.String()})
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Printf("listen %s: %v", *listen, err)
@@ -143,6 +143,21 @@ func run() int {
 	}
 	log.Print("drained; bye")
 	return 0
+}
+
+// The daemon's connection timeouts. A client must finish its request
+// headers within readHeaderTimeout, and an idle keep-alive connection is
+// closed after idleTimeout, so slow or silent clients cannot hold
+// connections open. There is deliberately no ReadTimeout or WriteTimeout:
+// watch streams and large NDJSON commits are long-lived by design.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in the daemon's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // openEngine recovers a durable engine from dir when it holds a log, and

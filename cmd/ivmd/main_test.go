@@ -209,3 +209,19 @@ func TestDaemonForcedExit(t *testing.T) {
 		t.Fatalf("daemon exit code after second SIGTERM = %d, want 3", code)
 	}
 }
+
+// TestHTTPServerTimeouts pins the daemon's connection timeouts: header and
+// idle limits are set, and the read and write limits stay unset so watch
+// streams and large commits are not cut off.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(nil)
+	if hs.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", hs.IdleTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v, want both unset", hs.ReadTimeout, hs.WriteTimeout)
+	}
+}

@@ -101,8 +101,12 @@ func (e *Engine) walHook(epoch uint64, ops []core.BatchOp) error {
 // history. Checkpoint returns an error on an engine without durability
 // configured, and refuses with the LogWedgedError on an engine whose log
 // has wedged — a checkpoint claims its epoch is durably reconstructible,
-// which a wedged log can no longer promise.
+// which a wedged log can no longer promise. On a sharded engine it returns
+// an error wrapping errors.ErrUnsupported.
 func (e *Engine) Checkpoint() error {
+	if e.fed != nil {
+		return unsupported("Checkpoint")
+	}
 	if !e.built {
 		return fmt.Errorf("ivmeps: Checkpoint: %w (call Build first)", ErrNotBuilt)
 	}

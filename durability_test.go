@@ -113,7 +113,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if err := e.Delete("R", []int64{1, 10}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ApplyBatch("S", [][]int64{{10, 8}, {11, 9}}, []int64{2, 1}); err != nil {
+	if err := e.Commit(e.NewBatch().Apply("S", []int64{10, 8}, 2).Apply("S", []int64{11, 9}, 1)); err != nil {
 		t.Fatal(err)
 	}
 	b := e.NewBatch()
@@ -556,7 +556,7 @@ func TestDurabilityAPIMisuse(t *testing.T) {
 	if _, err := ivmeps.Open(q2, opts); err == nil || !strings.Contains(err.Error(), "belongs to query") {
 		t.Fatalf("Open under the wrong query = %v", err)
 	}
-	// Sharded engines refuse durability outright.
+	// NewSharded refuses durability outright.
 	if _, err := ivmeps.NewSharded(q, ivmeps.ShardedOptions{Shards: 2, Options: ivmeps.Options{Durability: ivmeps.Durability{Dir: filepath.Join(t.TempDir(), "s")}}}); err == nil {
 		t.Fatal("NewSharded accepted Durability")
 	}

@@ -68,7 +68,7 @@ func (e *MultiplicityError) Error() string {
 }
 
 // ShardError reports a validation failure detected by one shard of a
-// Sharded engine's federated commit, identifying the shard. It wraps the
+// sharded engine's federated commit, identifying the shard. It wraps the
 // underlying error — typically a MultiplicityError for a delete the owning
 // shard rejected — so errors.Is and errors.As reach through it; match the
 // shard attribution itself with errors.As:
@@ -127,7 +127,7 @@ func (e *CorruptLogError) Error() string {
 // the log is unknowable (a failed fsync in particular may or may not have
 // persisted anything, and retrying cannot find out — so it is never
 // retried). The engine degrades to read-only: every further mutation —
-// Insert, Delete, Apply, ApplyBatch, Commit — returns this same error with
+// Insert, Delete, Apply, Commit — returns this same error with
 // the in-memory state exactly as it was before the failed commit, while
 // Snapshot, All, Rows, Count, and Enumerate keep serving the last committed
 // state. The failed commit itself was not applied; whether its record

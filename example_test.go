@@ -64,7 +64,7 @@ func Example_snapshot() {
 	defer snap.Close()
 
 	// Ingest a batch; the snapshot is unaffected, the engine moves on.
-	_ = e.ApplyBatch("R", [][]int64{{3, 10}, {4, 10}}, nil)
+	_ = e.Commit(e.NewBatch().Insert("R", []int64{3, 10}).Insert("R", []int64{4, 10}))
 
 	fmt.Printf("snapshot (epoch %d): %d tuples\n", snap.Epoch(), snap.Count())
 	rows, _ := snap.Rows()
@@ -80,21 +80,21 @@ func Example_snapshot() {
 	// live: 4 tuples
 }
 
-// ApplyBatch ingests many updates in one maintenance pass; with
+// Commit ingests many updates in one maintenance pass; with
 // Options.Workers the per-view-tree propagation work of each batch spreads
 // over a worker pool. The result is identical at every worker count.
-func Example_applyBatchWorkers() {
+func Example_batchWorkers() {
 	q := ivmeps.MustParseQuery("Q(A, C) = R(A, B), S(B, C)")
 	e, _ := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5, Workers: 4})
 	defer e.Close() // release the worker pool promptly
 	_ = e.Load("S", []int64{10, 7}, []int64{20, 8})
 	_ = e.Build()
 
-	rows := make([][]int64, 1000)
-	for i := range rows {
-		rows[i] = []int64{int64(i), 10 + 10*int64(i%2)} // join B ∈ {10, 20}
+	b := e.NewBatch()
+	for i := int64(0); i < 1000; i++ {
+		b.Insert("R", []int64{i, 10 + 10*(i%2)}) // join B ∈ {10, 20}
 	}
-	if err := e.ApplyBatch("R", rows, nil); err != nil {
+	if err := e.Commit(b); err != nil {
 		fmt.Println("batch rejected:", err)
 		return
 	}
@@ -187,10 +187,10 @@ func ExampleEngine_Enumerate_aggregates() {
 	// region 100: total 47
 }
 
-// A Sharded engine federates K independent engines: base relations are
-// partitioned by a hash of the query's shard-key variables, commits are
-// validated on every shard and applied all-or-nothing across them, and
-// enumeration gathers the shards' results. The API mirrors Engine.
+// NewSharded returns an Engine that federates K independent engines: base
+// relations are partitioned by a hash of the query's shard-key variables,
+// commits are validated on every shard and applied all-or-nothing across
+// them, and enumeration gathers the shards' results.
 func Example_sharded() {
 	q := ivmeps.MustParseQuery("Q(A, B, C) = R(A, B), S(A, C)")
 	s, _ := ivmeps.NewSharded(q, ivmeps.ShardedOptions{

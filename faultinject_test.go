@@ -32,7 +32,7 @@ type fiOp struct {
 // fiStep is one workload step: a commit through one of the mutation entry
 // points, or a checkpoint.
 type fiStep struct {
-	kind string // "single", "applybatch", "batch", "checkpoint"
+	kind string // "single", "batch", "checkpoint"
 	ops  []fiOp
 }
 
@@ -42,13 +42,13 @@ type fiStep struct {
 // so the only failures a run can see are injected ones.
 var fiSteps = []fiStep{
 	{kind: "single", ops: []fiOp{{"R", [2]int64{3, 1}, 1}}},
-	{kind: "applybatch", ops: []fiOp{{"S", [2]int64{1, 4}, 2}, {"S", [2]int64{2, 5}, 1}}},
+	{kind: "batch", ops: []fiOp{{"S", [2]int64{1, 4}, 2}, {"S", [2]int64{2, 5}, 1}}},
 	{kind: "batch", ops: []fiOp{{"R", [2]int64{4, 2}, 1}, {"S", [2]int64{2, 6}, 1}}},
 	{kind: "single", ops: []fiOp{{"R", [2]int64{1, 1}, -1}}},
 	{kind: "checkpoint"},
 	{kind: "single", ops: []fiOp{{"S", [2]int64{1, 7}, 1}}},
 	{kind: "batch", ops: []fiOp{{"R", [2]int64{2, 1}, 2}, {"S", [2]int64{1, 3}, -1}}},
-	{kind: "applybatch", ops: []fiOp{{"R", [2]int64{5, 1}, 1}, {"R", [2]int64{6, 2}, 1}}},
+	{kind: "batch", ops: []fiOp{{"R", [2]int64{5, 1}, 1}, {"R", [2]int64{6, 2}, 1}}},
 	{kind: "single", ops: []fiOp{{"S", [2]int64{2, 8}, 1}}},
 	{kind: "checkpoint"},
 	{kind: "batch", ops: []fiOp{{"R", [2]int64{3, 1}, -1}, {"S", [2]int64{1, 4}, -2}}},
@@ -113,14 +113,6 @@ func applyFIStep(e *ivmeps.Engine, step fiStep) error {
 	case "single":
 		op := step.ops[0]
 		return e.Apply(op.rel, op.row[:], op.mult)
-	case "applybatch":
-		rows := make([][]int64, len(step.ops))
-		mults := make([]int64, len(step.ops))
-		for i, op := range step.ops {
-			rows[i] = op.row[:]
-			mults[i] = op.mult
-		}
-		return e.ApplyBatch(step.ops[0].rel, rows, mults)
 	case "batch":
 		b := e.NewBatch()
 		for _, op := range step.ops {
@@ -205,9 +197,6 @@ func runFaultWorkload(t *testing.T, dir string, workers int, fs wal.VFS) *fiRun 
 			// Sticky: every further mutation path refuses with the wedge.
 			if err2 := e.Insert("R", []int64{9, 9}); !errors.As(err2, &lwe) {
 				t.Fatalf("step %d: Insert after wedge = %v, want LogWedgedError", si, err2)
-			}
-			if err2 := e.ApplyBatch("R", [][]int64{{9, 9}}, nil); !errors.As(err2, &lwe) {
-				t.Fatalf("step %d: ApplyBatch after wedge = %v, want LogWedgedError", si, err2)
 			}
 			b := e.NewBatch()
 			b.Insert("S", []int64{9, 9})

@@ -438,8 +438,13 @@ func (e *Engine) Epsilon() float64 { return e.opts.Epsilon }
 func (e *Engine) Mode() viewtree.Mode { return e.opts.Mode }
 
 // N returns the current database size (sum of distinct tuple counts over
-// the original relations).
-func (e *Engine) N() int { return e.n }
+// the original relations). It reads under the writer lock, so it is safe
+// from any goroutine, concurrently with commits.
+func (e *Engine) N() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.n
+}
 
 // ThresholdBase returns M, the rebalancing threshold base with
 // ⌊M/4⌋ ≤ N < M (Section 6.2).
@@ -448,8 +453,13 @@ func (e *Engine) ThresholdBase() int { return e.m }
 // Theta returns the current partition threshold θ = M^ε.
 func (e *Engine) Theta() float64 { return e.theta }
 
-// Stats returns activity counters.
-func (e *Engine) Stats() Stats { return e.stats }
+// Stats returns activity counters. It reads under the writer lock, so it
+// is safe from any goroutine, concurrently with commits.
+func (e *Engine) Stats() Stats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.stats
+}
 
 // Epoch returns the number of committed write operations (Preprocess
 // counts as the first). A Snapshot's Epoch identifies the committed state

@@ -60,6 +60,7 @@ import (
 	"ivmeps/internal/query"
 	"ivmeps/internal/relation"
 	"ivmeps/internal/tuple"
+	"ivmeps/internal/viewtree"
 )
 
 // Options configures a federation.
@@ -108,7 +109,7 @@ type fedRel struct {
 }
 
 // Fed is a federation of K core engines over one hierarchical query.
-// Mutation (Preprocess, Update, Commit) and snapshot capture serialize on
+// Mutation (Preprocess, Update, CommitBatch) and snapshot capture serialize on
 // the federation lock; snapshots enumerate outside it, concurrently with
 // commits, exactly as core snapshots do.
 type Fed struct {
@@ -306,9 +307,6 @@ func (f *Fed) shardOf(keyPos []int, row tuple.Tuple) int {
 // Shards returns the shard count K.
 func (f *Fed) Shards() int { return f.k }
 
-// Query returns the federation's (original) query.
-func (f *Fed) Query() *query.Query { return f.orig.Clone() }
-
 // ShardVars returns the shard-key variables (a copy) and whether the
 // gather concatenates per-shard enumerations (all key variables free) or
 // aggregates multiplicities per distinct tuple.
@@ -318,7 +316,7 @@ func (f *Fed) ShardVars() (vars tuple.Schema, concat bool) {
 
 // RelID returns the federation's stable positive identifier for an
 // original relation name, or 0 if unknown — the federation analogue of
-// core's Engine.RelID, for stamping into BatchOp.RelID so Commit skips
+// core's Engine.RelID, for stamping into BatchOp.RelID so CommitBatch skips
 // per-op name lookups. Federation ids and a single core engine's ids agree
 // (both follow first-occurrence order), but they resolve through different
 // tables; ids must come from the instance the batch is committed to.
@@ -408,6 +406,9 @@ func (f *Fed) Preprocess(db naive.Database) error {
 func (f *Fed) Update(rel string, t tuple.Tuple, m int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if err := f.writableLocked(); err != nil {
+		return err
+	}
 	id := f.relIdx[rel]
 	if id == 0 {
 		return fmt.Errorf("federation: %w: %q (query %s)", core.ErrUnknownRelation, rel, f.orig)
@@ -421,7 +422,7 @@ func (f *Fed) Update(rel string, t tuple.Tuple, m int64) error {
 	return err
 }
 
-// Commit applies a batch of updates — spanning any of the query's
+// CommitBatch applies a batch of updates — spanning any of the query's
 // relations — as one atomic federated commit. The ops are validated and
 // scattered once (an unknown relation or an arity mismatch is reported
 // before any shard is involved, engine-identical all-or-nothing), each
@@ -432,16 +433,29 @@ func (f *Fed) Update(rel string, t tuple.Tuple, m int64) error {
 // before the call. On success the federation epoch advances by one.
 //
 // Ops may carry RelID values from Fed.RelID to skip the per-op name
-// lookup; the rows are referenced, not copied, until Commit returns.
-func (f *Fed) Commit(ops []core.BatchOp) error {
+// lookup; the rows are referenced, not copied, until CommitBatch returns.
+func (f *Fed) CommitBatch(ops []core.BatchOp) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.commitLocked(ops)
 }
 
-func (f *Fed) commitLocked(ops []core.BatchOp) error {
+// writableLocked refuses writes the way a core engine does: before
+// Preprocess with ErrNotBuilt, and on a static federation up front with
+// the bare ErrStatic — no shard is at fault, so no ShardError.
+func (f *Fed) writableLocked() error {
 	if !f.built {
 		return fmt.Errorf("federation: commit: %w (run Preprocess first)", core.ErrNotBuilt)
+	}
+	if f.opts.Engine.Mode != viewtree.Dynamic {
+		return core.ErrStatic
+	}
+	return nil
+}
+
+func (f *Fed) commitLocked(ops []core.BatchOp) error {
+	if err := f.writableLocked(); err != nil {
+		return err
 	}
 	if err := f.scatterLocked(ops); err != nil {
 		f.clearSubsLocked()
@@ -598,8 +612,11 @@ func (f *Fed) Epoch() uint64 {
 // N returns the current database size: distinct tuples summed once per
 // original relation — over all shards for partitioned relations (their
 // shard parts are disjoint), over one shard for broadcast relations
-// (every shard holds the same copy).
+// (every shard holds the same copy). It reads under the federation lock,
+// so it is safe from any goroutine, concurrently with commits.
 func (f *Fed) N() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	n := 0
 	for i := range f.relList {
 		o := &f.relList[i].occs[0]
@@ -617,8 +634,11 @@ func (f *Fed) N() int {
 // Stats returns the shard engines' activity counters, summed. Broadcast
 // relations contribute to every shard, so counters like Updates can exceed
 // a single engine's for the same workload; the counters measure work done,
-// not logical operations.
+// not logical operations. It reads under the federation lock, so it is
+// safe from any goroutine, concurrently with commits.
 func (f *Fed) Stats() core.Stats {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	var out core.Stats
 	for _, e := range f.shards {
 		s := e.Stats()

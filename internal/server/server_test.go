@@ -700,3 +700,65 @@ func TestLaggedOverClientSurface(t *testing.T) {
 		t.Fatalf("lagged error fields = %v", sawErr)
 	}
 }
+
+// TestStatsAndMetricsDuringCommits scrapes /v1/stats and /metrics while
+// commits run, so the engine's N and Stats reads race the writer unless
+// they synchronize with it; run it under -race to check.
+func TestStatsAndMetricsDuringCommits(t *testing.T) {
+	_, srv, c := newStack(t, server.Options{}, client.Options{})
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	ctx := context.Background()
+	const commits = 50
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	scrape := func(get func() error) {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := get(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}
+	wg.Add(2)
+	go scrape(func() error {
+		_, err := c.Stats(ctx)
+		return err
+	})
+	go scrape(func() error {
+		resp, err := http.Get(hs.URL + "/metrics")
+		if err != nil {
+			return err
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return err
+	})
+	for i := int64(0); i < commits; i++ {
+		b := c.NewBatch().Insert("R", []int64{i, i % 5}).Insert("S", []int64{i % 5, i})
+		if _, err := c.Commit(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.N != 2*commits {
+		t.Fatalf("N = %d after %d commits of two fresh rows, want %d", st.N, commits, 2*commits)
+	}
+}

@@ -53,8 +53,8 @@
 // exactly what it was. Per touched relation the updates aggregate into one
 // delta per view-tree leaf, so every view tree is walked once per (batch,
 // relation) instead of once per update; the observable result is identical
-// to applying the same updates in order with Apply. ApplyBatch remains as
-// the one-relation convenience wrapper over the same path. The update path
+// to applying the same updates in order with Apply. A Batch is the one
+// batch write API, for one relation as for many. The update path
 // is engineered for sustained traffic: the propagation routes from every
 // relation to every affected view are precomputed at Build time, and
 // steady-state Apply and Commit run without heap allocation.
@@ -66,7 +66,7 @@
 // # Parallel batches
 //
 // A batch's per-tree propagations are independent, and Options.Workers lets
-// Commit and ApplyBatch spread them over a bounded pool of worker
+// Commit spread them over a bounded pool of worker
 // goroutines: 0 (the default) sizes the pool from GOMAXPROCS, 1 forces the
 // sequential path, and larger values are honored as given. Each worker owns
 // its scratch state (binding slots, delta pools, key-encoding buffers), so
@@ -75,8 +75,8 @@
 // view of the relations shared across trees. The final engine state is
 // identical to the sequential batch result for every worker count; only the
 // wall-clock interleaving differs. Engines are still single-writer: Commit
-// parallelizes internally, but write methods (Apply, ApplyBatch, Commit,
-// Insert, Delete) must not be invoked concurrently with each other. Call
+// parallelizes internally, but write methods (Apply, Commit, Insert,
+// Delete) must not be invoked concurrently with each other. Call
 // Close to release the pool when discarding an engine early; a
 // garbage-collected engine releases it automatically.
 //
@@ -95,7 +95,7 @@
 //
 // Readers do not block the writer. Snapshot captures the current committed
 // state in O(#views) — no data is copied up front — and the returned
-// Snapshot enumerates that state concurrently with Apply and ApplyBatch:
+// Snapshot enumerates that state concurrently with Apply and Commit:
 // when the writer first mutates a relation some live snapshot pins, it
 // detaches the storage copy-on-write, so the snapshot keeps its view while
 // ingestion proceeds. A snapshot taken while a batch is in flight blocks
@@ -113,19 +113,23 @@
 // query's connected component always has variables occurring in every one
 // of its atoms; hashing those shard-key values partitions the component's
 // relations so that tuples on different shards never join, and the
-// per-shard results sum exactly to the unsharded result. Sharded mirrors
-// the Engine API — Load/Build, Insert/Delete/Apply, NewBatch/Commit,
-// Snapshot — with the same atomicity contract extended across shards: a
-// commit is validated on every shard and applied on all of them or none of
-// them, and a ShardedSnapshot observes every shard at one federation epoch. A
-// shard-detected validation failure arrives wrapped in a ShardError; see
-// Sharded and ShardKey for the routing and gather details.
+// per-shard results sum exactly to the unsharded result. A sharded engine
+// is an Engine — Load/Build, Insert/Delete/Apply, NewBatch/Commit,
+// Snapshot, Epoch, N, Stats, Close — with the same atomicity contract
+// extended across shards: a commit is validated on every shard and applied
+// on all of them or none of them, and a Snapshot observes every shard at
+// one federation epoch. A shard-detected validation failure arrives
+// wrapped in a ShardError. What needs one engine's log or view forest —
+// Watch, Checkpoint, Snapshot.ViewRows — returns an error wrapping
+// errors.ErrUnsupported; see NewSharded and ShardKey for the routing and
+// gather details. Sharded and ShardedSnapshot remain only as deprecated
+// aliases of Engine and Snapshot.
 //
 // # Durability
 //
 // Engines are in-memory by default; setting Options.Durability.Dir gives an
 // engine a write-ahead log: every committed batch — through Insert, Delete,
-// Apply, ApplyBatch, or Commit — is appended to a segmented, checksummed
+// Apply, or Commit — is appended to a segmented, checksummed
 // commit log in that directory before it is applied, and Build writes an
 // initial checkpoint, so the committed state always equals "newest
 // checkpoint + logged tail". After a crash, Open rebuilds the engine from
@@ -143,8 +147,8 @@
 // one shape a mid-write kill leaves) is truncated silently by Open; any
 // other damage — checksum mismatches, missing epochs — is refused with a
 // CorruptLogError rather than guessed around. Durable engines should be
-// Closed when discarded so buffered appends reach the OS; Sharded engines
-// do not support Durability. The cmd/ivmwal tool inspects and verifies log
+// Closed when discarded so buffered appends reach the OS; NewSharded
+// refuses Durability. The cmd/ivmwal tool inspects and verifies log
 // directories offline, and docs/DURABILITY.md specifies the file formats,
 // the recovery rules, and the full crash-guarantee table.
 //
@@ -153,8 +157,8 @@
 // that hit it fails with a LogWedgedError and is not applied, nothing is
 // ever written to the log files again (in particular a failed fsync is
 // never retried — its page-cache state is unknowable), and the engine
-// degrades to read-only: every further Insert/Delete/Apply/ApplyBatch/
-// Commit returns the same LogWedgedError with the in-memory state
+// degrades to read-only: every further Insert/Delete/Apply/Commit
+// returns the same LogWedgedError with the in-memory state
 // untouched, while Snapshot, All, Rows, Count, and Enumerate keep serving
 // the last committed state. Recovery is by restart: reopen the directory
 // with Open, which replays exactly the commits that reached disk. See the
@@ -189,10 +193,12 @@
 package ivmeps
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 
 	"ivmeps/internal/core"
+	"ivmeps/internal/federation"
 	"ivmeps/internal/naive"
 	"ivmeps/internal/query"
 	"ivmeps/internal/relation"
@@ -280,7 +286,7 @@ type Options struct {
 	// Static builds a static-evaluation engine: fewer auxiliary views, but
 	// Insert/Delete/Apply after Build are rejected.
 	Static bool
-	// Workers bounds the worker goroutines ApplyBatch uses to propagate a
+	// Workers bounds the worker goroutines Commit uses to propagate a
 	// batch across independent view trees: 0 picks a GOMAXPROCS-bounded
 	// automatic count, 1 forces sequential propagation, and N > 1 uses up
 	// to N workers (capped by the number of view trees). The result is
@@ -296,11 +302,36 @@ type Options struct {
 	Durability Durability
 }
 
+// core translates the engine knobs for internal/core.
+func (o Options) core() core.Options {
+	mode := viewtree.Dynamic
+	if o.Static {
+		mode = viewtree.Static
+	}
+	return core.Options{Mode: mode, Epsilon: o.Epsilon, Workers: o.Workers}
+}
+
+// maintainer is what an Engine maintains its query with: one core engine
+// (New) or a federation of K of them (NewSharded).
+type maintainer interface {
+	RelID(name string) int
+	Update(rel string, t tuple.Tuple, m int64) error
+	CommitBatch(ops []core.BatchOp) error
+	Epoch() uint64
+	N() int
+	Stats() core.Stats
+	Close()
+}
+
 // Engine maintains a hierarchical query under single-tuple updates and
-// enumerates its distinct result tuples with multiplicities.
+// enumerates its distinct result tuples with multiplicities. New returns
+// one engine; NewSharded returns an Engine over K hash-sharded ones.
 type Engine struct {
 	q       *Query
-	e       *core.Engine
+	m       maintainer
+	e       *core.Engine    // the maintainer of a New engine; nil if sharded
+	fed     *federation.Fed // the maintainer of a NewSharded engine; nil if not
+	eps     float64
 	initial naive.Database
 	built   bool
 
@@ -321,21 +352,13 @@ type Engine struct {
 // check); non-hierarchical queries are rejected with an error, matching the
 // scope of the paper's algorithms.
 func New(q *Query, opts Options) (*Engine, error) {
-	mode := viewtree.Dynamic
-	if opts.Static {
-		mode = viewtree.Static
-	}
-	e, err := core.New(q.q, core.Options{Mode: mode, Epsilon: opts.Epsilon, Workers: opts.Workers})
+	e, err := core.New(q.q, opts.core())
 	if err != nil {
 		return nil, err
 	}
-	eng := &Engine{q: q, e: e, initial: naive.Database{}}
+	eng := newEngine(q, e, opts)
+	eng.e = e
 	eng.hub = watch.New(e)
-	for _, a := range q.q.Atoms {
-		if _, ok := eng.initial[a.Rel]; !ok {
-			eng.initial[a.Rel] = relation.New(a.Rel, a.Vars)
-		}
-	}
 	if opts.Durability.enabled() {
 		// Fail on an already-populated log directory now, not at Build:
 		// recovering an existing log is Open's job, and silently appending
@@ -348,6 +371,24 @@ func New(q *Query, opts Options) (*Engine, error) {
 		eng.wal = l
 	}
 	return eng, nil
+}
+
+// newEngine returns an unbuilt Engine maintained by m, with an empty
+// initial relation per query relation for Load.
+func newEngine(q *Query, m maintainer, opts Options) *Engine {
+	e := &Engine{q: q, m: m, eps: opts.Epsilon, initial: naive.Database{}}
+	for _, a := range q.q.Atoms {
+		if _, ok := e.initial[a.Rel]; !ok {
+			e.initial[a.Rel] = relation.New(a.Rel, a.Vars)
+		}
+	}
+	return e
+}
+
+// unsupported is the refusal of an operation a sharded engine cannot
+// serve; it wraps errors.ErrUnsupported.
+func unsupported(op string) error {
+	return fmt.Errorf("ivmeps: %s: %w on sharded engines", op, errors.ErrUnsupported)
 }
 
 // Load bulk-inserts rows (with multiplicity 1) into a relation before
@@ -377,13 +418,21 @@ func (e *Engine) LoadWeighted(rel string, row []int64, mult int64) error {
 	return wrapErr(r.Add(tuple.Tuple(row), mult))
 }
 
-// Build runs the preprocessing stage over the loaded data. It must be
-// called exactly once, before any Insert/Delete/Apply/Enumerate.
+// Build runs the preprocessing stage over the loaded data — on a sharded
+// engine, partitions it across the shards and preprocesses them in
+// parallel. It must be called exactly once, before any
+// Insert/Delete/Apply/Enumerate.
 func (e *Engine) Build() error {
 	if e.built {
 		return fmt.Errorf("ivmeps: Build called twice")
 	}
-	if err := core.Preprocess(e.e, e.initial); err != nil {
+	var err error
+	if e.fed != nil {
+		err = e.fed.Preprocess(e.initial)
+	} else {
+		err = core.Preprocess(e.e, e.initial)
+	}
+	if err != nil {
 		return wrapErr(err)
 	}
 	e.built = true
@@ -408,48 +457,20 @@ func (e *Engine) Insert(rel string, row []int64) error { return e.Apply(rel, row
 func (e *Engine) Delete(rel string, row []int64) error { return e.Apply(rel, row, -1) }
 
 // Apply applies the single-tuple update {row → mult} (positive to insert,
-// negative to delete). The amortized cost is O(N^(δε)).
+// negative to delete) as a one-op commit. The amortized cost is
+// O(N^(δε)); on a sharded engine only the shards owning the affected
+// occurrences update.
 func (e *Engine) Apply(rel string, row []int64, mult int64) error {
 	if !e.built {
 		return fmt.Errorf("ivmeps: Apply: %w (call Build first)", ErrNotBuilt)
 	}
-	return wrapErr(e.e.Update(rel, tuple.Tuple(row), mult))
+	return wrapErr(e.m.Update(rel, tuple.Tuple(row), mult))
 }
 
-// ApplyBatch applies the updates {rows[i] → mults[i]} to one relation as a
-// single batch. A nil mults applies every row with multiplicity +1; mixed
-// inserts and deletes are allowed. The observable result — the enumerated
-// query output, N, and the engine's maintenance invariants — is identical
-// to applying the same updates in order with Apply, but the amortized cost
-// per row is lower: the batch is aggregated into one delta per view-tree
-// leaf, every view tree is walked once for the whole batch, and the
-// rebalancing checks run once per distinct partition key instead of once
-// per row. Use it for high-throughput ingestion.
-//
-// Error handling differs from a sequential Apply loop in one way: the
-// batch is validated up front (in order, counting the effect of earlier
-// rows), and on any error — an ArityError, or a MultiplicityError for a
-// delete exceeding the available multiplicity — the engine is left
-// completely unchanged rather than with a prefix applied.
-//
-// ApplyBatch is the one-relation convenience over the Batch/Commit path
-// and shares its machinery; use a Batch to span several relations in one
-// atomic commit.
-func (e *Engine) ApplyBatch(rel string, rows [][]int64, mults []int64) error {
-	if !e.built {
-		return fmt.Errorf("ivmeps: ApplyBatch: %w (call Build first)", ErrNotBuilt)
-	}
-	ts := make([]tuple.Tuple, len(rows))
-	for i, r := range rows {
-		ts[i] = tuple.Tuple(r)
-	}
-	return wrapErr(e.e.ApplyBatch(rel, ts, mults))
-}
-
-// Close releases the engine's batch worker goroutines, if any were started
-// (Options.Workers != 1 and a parallel ApplyBatch ran), and — on a durable
-// engine — flushes and closes the write-ahead log, pushing any commits
-// buffered under SyncOff to the OS. It returns the log's flush error, if
+// Close releases the engine's worker goroutines, if any were started
+// (a parallel commit, or a commit spanning several shards), and — on a
+// durable engine — flushes and closes the write-ahead log, pushing any
+// commits buffered under SyncOff to the OS. It returns the log's flush error, if
 // any; an engine without durability always returns nil. The engine's
 // in-memory state remains usable after Close, but a durable engine logs no
 // further commits — Close is for shutdown.
@@ -464,7 +485,7 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
-	e.e.Close()
+	e.m.Close()
 	if e.wal == nil {
 		return nil
 	}
@@ -481,7 +502,7 @@ func (e *Engine) Close() error {
 //
 // Enumerate takes an implicit Snapshot for the duration of the call, so it
 // observes one committed state and is safe to call from any goroutine,
-// concurrently with Commit/Apply/ApplyBatch and with other readers. To make
+// concurrently with Commit/Apply and with other readers. To make
 // several reads observe the same state, take an explicit Snapshot instead.
 //
 // Enumerate before Build panics with ErrNotBuilt (the package's one panic
@@ -525,10 +546,14 @@ func (e *Engine) mustSnapshot() *Snapshot {
 // package documentation). Snapshot may be called from any goroutine; if a
 // batch is in flight it blocks until the batch commits. The Snapshot
 // itself is not safe for concurrent use — take one per reader goroutine
-// (they share storage). Close it when done.
+// (they share storage). Close it when done. A sharded engine's snapshot
+// captures every shard at one federation epoch.
 func (e *Engine) Snapshot() (*Snapshot, error) {
 	if !e.built {
 		return nil, fmt.Errorf("ivmeps: Snapshot: %w (call Build first)", ErrNotBuilt)
+	}
+	if e.fed != nil {
+		return &Snapshot{s: e.fed.Snapshot()}, nil
 	}
 	return &Snapshot{s: e.e.Snapshot()}, nil
 }
@@ -538,13 +563,21 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 // equals the Epoch of a Snapshot captured now, without capturing one. A
 // failed or empty commit leaves it unchanged. Epoch may be called from any
 // goroutine.
-func (e *Engine) Epoch() uint64 { return e.e.Epoch() }
+func (e *Engine) Epoch() uint64 { return e.m.Epoch() }
+
+// reader is what a Snapshot reads: a core snapshot, or a federation
+// snapshot gathering K of them.
+type reader interface {
+	Epoch() uint64
+	Enumerate(yield func(t tuple.Tuple, m int64) bool)
+	Close()
+}
 
 // Snapshot is an immutable view of one committed engine state, enumerable
 // concurrently with updates to the engine it came from. See
 // Engine.Snapshot.
 type Snapshot struct {
-	s *core.Snapshot
+	s reader
 }
 
 // Epoch identifies the committed state the snapshot observes: the number
@@ -614,21 +647,25 @@ func (e *Engine) Count() int {
 }
 
 // N returns the current database size: the total number of distinct tuples
-// across the query's relations.
-func (e *Engine) N() int { return e.e.N() }
+// across the query's relations, each counted once regardless of sharding.
+// N may be called from any goroutine.
+func (e *Engine) N() int { return e.m.N() }
 
 // Epsilon returns the engine's trade-off parameter.
-func (e *Engine) Epsilon() float64 { return e.e.Epsilon() }
+func (e *Engine) Epsilon() float64 { return e.eps }
 
-// Stats reports maintenance activity counters.
+// Stats reports maintenance activity counters. On a sharded engine they
+// are the shards' counters summed: broadcast relations contribute work on
+// every shard, so counters can exceed a single engine's for the same
+// logical workload — they measure work done, not logical operations.
 type Stats struct {
 	Updates         int64
 	MinorRebalances int64
 	MajorRebalances int64
 	ViewDeltas      int64
-	// Batches counts applied commits — every Apply, Insert, Delete,
-	// ApplyBatch and Commit that published an epoch, a single-tuple Apply
-	// being a one-op commit — and BatchRelations the distinct relations
+	// Batches counts applied commits — every Apply, Insert, Delete and
+	// Commit that published an epoch, a single-tuple Apply being a one-op
+	// commit — and BatchRelations the distinct relations
 	// with a net effect (ops that did not cancel out within the commit),
 	// summed over those commits: BatchRelations/Batches is the mean
 	// effective fan-out of the ingest stream across the query's relations.
@@ -638,12 +675,18 @@ type Stats struct {
 
 // Explain returns a human-readable description of the engine's strategy:
 // the query's classification, the cost guarantees at this ε, and the view
-// trees, heavy/light indicators, and relation partitions it maintains.
-func (e *Engine) Explain() string { return e.e.Explain() }
+// trees, heavy/light indicators, and relation partitions it maintains. A
+// sharded engine returns the refusal text instead.
+func (e *Engine) Explain() string {
+	if e.fed != nil {
+		return unsupported("Explain").Error()
+	}
+	return e.e.Explain()
+}
 
-// Stats returns activity counters.
+// Stats returns activity counters. It may be called from any goroutine.
 func (e *Engine) Stats() Stats {
-	s := e.e.Stats()
+	s := e.m.Stats()
 	return Stats{
 		Updates:         s.Updates,
 		MinorRebalances: s.MinorRebalances,

@@ -138,7 +138,7 @@ func TestApplySteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestPublicAPIApplyBatch(t *testing.T) {
+func TestPublicAPIBatchMatchesSequential(t *testing.T) {
 	q := MustParseQuery("Q(A, C) = R(A, B), S(B, C)")
 	mk := func() *Engine {
 		e, err := New(q, Options{Epsilon: 0.5})
@@ -174,7 +174,11 @@ func TestPublicAPIApplyBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := bat.ApplyBatch("R", rows, mults); err != nil {
+	b := bat.NewBatch()
+	for i := range rows {
+		b.Apply("R", rows[i], mults[i])
+	}
+	if err := bat.Commit(b); err != nil {
 		t.Fatal(err)
 	}
 	sr, sm := seq.Rows()
@@ -194,15 +198,15 @@ func TestPublicAPIApplyBatch(t *testing.T) {
 	if seq.N() != bat.N() {
 		t.Fatalf("N diverged: %d vs %d", seq.N(), bat.N())
 	}
-	if err := bat.ApplyBatch("R", nil, nil); err != nil {
+	if err := bat.Commit(bat.NewBatch()); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if err := bat.ApplyBatch("Z", [][]int64{{1, 2}}, nil); err == nil {
+	if err := bat.Commit(bat.NewBatch().Insert("Z", []int64{1, 2})); err == nil {
 		t.Fatal("unknown relation accepted")
 	}
 	e2, _ := New(q, Options{Epsilon: 0.5})
-	if err := e2.ApplyBatch("R", [][]int64{{1, 2}}, nil); err == nil {
-		t.Fatal("ApplyBatch before Build accepted")
+	if err := e2.Commit(e2.NewBatch().Insert("R", []int64{1, 2})); err == nil {
+		t.Fatal("Commit before Build accepted")
 	}
 }
 
@@ -297,7 +301,11 @@ func TestPublicAPIWorkers(t *testing.T) {
 		mults = append(mults, -1)
 	}
 	for _, e := range engines {
-		if err := e.ApplyBatch("T", rows, mults); err != nil {
+		b := e.NewBatch()
+		for i := range rows {
+			b.Apply("T", rows[i], mults[i])
+		}
+		if err := e.Commit(b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,14 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ivmeps"
 )
 
-// shardedPair builds an Engine and a Sharded over the same query and the
-// same initial load, ready for parallel driving.
-func shardedPair(t *testing.T, qs string, k int, rng *rand.Rand, n int, domain int64) (*ivmeps.Engine, *ivmeps.Sharded) {
+// shardedPair builds an engine from New and one from NewSharded over the
+// same query and the same initial load, ready for parallel driving.
+func shardedPair(t *testing.T, qs string, k int, rng *rand.Rand, n int, domain int64) (*ivmeps.Engine, *ivmeps.Engine) {
 	t.Helper()
 	q := ivmeps.MustParseQuery(qs)
 	e, err := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5})
@@ -68,8 +69,8 @@ func requireSameResults(t *testing.T, label string, got, want map[string]int64) 
 }
 
 // TestShardedMatchesEngine drives the same mixed update stream — single
-// applies and multi-relation batches — through an Engine and Sharded
-// engines at several K, comparing results, N, and snapshot epochs after
+// applies and multi-relation batches — through an engine from New and
+// sharded engines at several K, comparing results, N, and snapshot epochs after
 // every commit.
 func TestShardedMatchesEngine(t *testing.T) {
 	const qs = "Q(A, B, C) = R(A, B), S(A, C)"
@@ -136,26 +137,6 @@ func TestShardedMatchesEngine(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestShardedApplyBatchParity covers the one-relation convenience.
-func TestShardedApplyBatchParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	e, s := shardedPair(t, "Q(A, B, C) = R(A, B), S(A, C)", 4, rng, 30, 7)
-	defer e.Close()
-	defer s.Close()
-	rows := [][]int64{{1, 2}, {3, 4}, {1, 2}}
-	mults := []int64{2, 1, -1}
-	if err := e.ApplyBatch("R", rows, mults); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ApplyBatch("R", rows, mults); err != nil {
-		t.Fatal(err)
-	}
-	requireSameResults(t, "ApplyBatch", publicResultMap(s.Enumerate), publicResultMap(e.Enumerate))
-	if err := s.ApplyBatch("R", rows, []int64{1}); err == nil {
-		t.Error("mismatched rows/mults lengths accepted")
 	}
 }
 
@@ -251,6 +232,136 @@ func TestShardedErrors(t *testing.T) {
 	}
 }
 
+// TestShardedRefusalParity runs the same refused writes through an engine
+// from New and one from NewSharded (K=2) and requires the same error class
+// from both. It also pins what only a sharded engine refuses, and the
+// Epoch and Close contracts both kinds share.
+func TestShardedRefusalParity(t *testing.T) {
+	q := ivmeps.MustParseQuery("Q(A, B, C) = R(A, B), S(A, C)")
+	pair := func(opts ivmeps.Options) [2]*ivmeps.Engine {
+		t.Helper()
+		e, err := ivmeps.New(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := ivmeps.NewSharded(q, ivmeps.ShardedOptions{Options: opts, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines := [2]*ivmeps.Engine{e, s}
+		for _, x := range engines {
+			t.Cleanup(func() { x.Close() })
+			if err := x.Load("R", []int64{1, 2}, []int64{3, 4}); err != nil {
+				t.Fatal(err)
+			}
+			if err := x.Load("S", []int64{1, 5}); err != nil {
+				t.Fatal(err)
+			}
+			if err := x.Build(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return engines
+	}
+	dynamic := pair(ivmeps.Options{Epsilon: 0.5})
+	static := pair(ivmeps.Options{Epsilon: 0.5, Static: true})
+	kinds := [2]string{"New", "NewSharded"}
+
+	is := func(target error) func(error) bool {
+		return func(err error) bool { return errors.Is(err, target) }
+	}
+	staticNoShard := func(err error) bool {
+		var se *ivmeps.ShardError
+		return errors.Is(err, ivmeps.ErrStatic) && !errors.As(err, &se)
+	}
+	cases := []struct {
+		name    string
+		engines [2]*ivmeps.Engine
+		write   func(*ivmeps.Engine) error
+		class   func(error) bool
+	}{
+		{"unknown relation at zero multiplicity", dynamic,
+			func(e *ivmeps.Engine) error { return e.Apply("nope", []int64{1, 2}, 0) },
+			is(ivmeps.ErrUnknownRelation)},
+		{"static zero-multiplicity write", static,
+			func(e *ivmeps.Engine) error { return e.Apply("R", []int64{1, 2}, 0) },
+			is(ivmeps.ErrStatic)},
+		{"static empty commit", static,
+			func(e *ivmeps.Engine) error { return e.Commit(e.NewBatch()) },
+			is(ivmeps.ErrStatic)},
+		{"static non-empty commit", static,
+			func(e *ivmeps.Engine) error {
+				return e.Commit(e.NewBatch().Insert("R", []int64{7, 8}).Insert("S", []int64{9, 9}))
+			},
+			staticNoShard},
+		{"arity", dynamic,
+			func(e *ivmeps.Engine) error { return e.Apply("R", []int64{1, 2, 3}, 1) },
+			func(err error) bool {
+				var ae *ivmeps.ArityError
+				return errors.As(err, &ae)
+			}},
+		{"over-delete", dynamic,
+			func(e *ivmeps.Engine) error { return e.Apply("R", []int64{77, 77}, -1) },
+			func(err error) bool {
+				var me *ivmeps.MultiplicityError
+				return errors.As(err, &me)
+			}},
+	}
+	for _, c := range cases {
+		for i, e := range c.engines {
+			before := e.Epoch()
+			if err := c.write(e); !c.class(err) {
+				t.Errorf("%s: %s engine returned %v", c.name, kinds[i], err)
+			}
+			if e.Epoch() != before {
+				t.Errorf("%s: %s engine moved its epoch from %d to %d", c.name, kinds[i], before, e.Epoch())
+			}
+		}
+	}
+
+	s := dynamic[1]
+	if _, err := s.Watch(ivmeps.WatchOptions{}); !errors.Is(err, errors.ErrUnsupported) {
+		t.Errorf("sharded Watch returned %v, want ErrUnsupported", err)
+	}
+	if err := s.Checkpoint(); !errors.Is(err, errors.ErrUnsupported) {
+		t.Errorf("sharded Checkpoint returned %v, want ErrUnsupported", err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := snap.ViewRows("V"); !errors.Is(err, errors.ErrUnsupported) {
+		t.Errorf("sharded Snapshot.ViewRows returned %v, want ErrUnsupported", err)
+	}
+	snap.Close()
+	if v := s.Views(); v != nil {
+		t.Errorf("sharded Views() = %v, want nil", v)
+	}
+	if x := s.Explain(); !strings.Contains(x, errors.ErrUnsupported.Error()) {
+		t.Errorf("sharded Explain() = %q, want the refusal text", x)
+	}
+
+	for i, e := range dynamic {
+		if err := e.Insert("R", []int64{5, 6}); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Epoch() != snap.Epoch() || e.Epoch() != 2 {
+			t.Errorf("%s engine: Epoch() = %d, Snapshot().Epoch() = %d, want both 2", kinds[i], e.Epoch(), snap.Epoch())
+		}
+		snap.Close()
+		if err := e.Close(); err != nil {
+			t.Errorf("%s engine: Close returned %v", kinds[i], err)
+		}
+		if err := e.Close(); err != nil {
+			t.Errorf("%s engine: second Close returned %v, want nil", kinds[i], err)
+		}
+	}
+}
+
 // TestShardedShardKey pins the public routing report.
 func TestShardedShardKey(t *testing.T) {
 	s, err := ivmeps.NewSharded(ivmeps.MustParseQuery("Q(A, B, C) = R(A, B), S(A, C)"),
@@ -322,8 +433,9 @@ func TestShardedCommitSteadyStateZeroAllocs(t *testing.T) {
 
 // TestStatsBatchesCountEveryCommit pins the one meaning of Stats.Batches:
 // every applied commit counts, a single-tuple Apply being a one-op commit.
-// The same mixed Apply/Commit stream on an Engine and on a one-shard
-// Sharded must report the same Updates, Batches and BatchRelations.
+// The same mixed Apply/Commit stream on a New engine and on a one-shard
+// NewSharded engine must report the same Updates, Batches and
+// BatchRelations.
 func TestStatsBatchesCountEveryCommit(t *testing.T) {
 	e, s := shardedPair(t, "Q(A, C) = R(A, B), S(B, C)", 1, rand.New(rand.NewSource(12)), 20, 6)
 	type stats struct{ updates, batches, rels int64 }
@@ -361,7 +473,7 @@ func TestStatsBatchesCountEveryCommit(t *testing.T) {
 
 	gotE, gotS := get(e.Stats()), get(s.Stats())
 	if gotE != gotS {
-		t.Fatalf("Engine stats %+v, Sharded (K=1) stats %+v: want equal", gotE, gotS)
+		t.Fatalf("New engine stats %+v, NewSharded (K=1) stats %+v: want equal", gotE, gotS)
 	}
 	want := stats{updates: before.updates + 8, batches: before.batches + 5, rels: before.rels + 6}
 	if gotE != want {

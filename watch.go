@@ -81,13 +81,17 @@ type Watcher struct {
 // anchored at the current committed state: its Snapshot observes epoch E,
 // and its Events deliver every commit with epoch > E — the anchor and the
 // subscription are captured atomically, so the stream has no gap and no
-// overlap with the snapshot. Watch before Build returns ErrNotBuilt.
+// overlap with the snapshot. Watch before Build returns ErrNotBuilt; on a
+// sharded engine Watch returns an error wrapping errors.ErrUnsupported.
 //
 // Watchers are independent: any number may be open, each with its own
 // anchor, buffer, and view filter, and a slow watcher is evicted without
 // affecting the others. While no watcher is open the commit path does no
 // capture work at all.
 func (e *Engine) Watch(opts WatchOptions) (*Watcher, error) {
+	if e.fed != nil {
+		return nil, unsupported("Watch")
+	}
 	if !e.built {
 		return nil, fmt.Errorf("ivmeps: Watch: %w (call Build first)", ErrNotBuilt)
 	}
@@ -119,8 +123,13 @@ func (e *Engine) Watch(opts WatchOptions) (*Watcher, error) {
 // Views returns the engine-assigned names of the root views — the View
 // names carried by watch events and accepted by WatchOptions.Views and
 // Snapshot.ViewRows, one per materialized view tree, in a fixed order.
-// Empty before Build.
-func (e *Engine) Views() []string { return e.e.RootViews() }
+// Empty before Build, and nil on a sharded engine.
+func (e *Engine) Views() []string {
+	if e.fed != nil {
+		return nil
+	}
+	return e.e.RootViews()
+}
 
 // Snapshot returns the watcher's anchor: the committed state immediately
 // before the first event of the stream. The first call transfers ownership
@@ -218,9 +227,14 @@ func (w *Watcher) Close() {
 // snapshot's committed state (see Engine.Views for the names). The
 // returned slices are fresh copies owned by the caller. Folding watch
 // deltas over the anchor's ViewRows reproduces ViewRows at every later
-// epoch.
+// epoch. A sharded engine's snapshot returns an error wrapping
+// errors.ErrUnsupported.
 func (s *Snapshot) ViewRows(view string) (rows [][]int64, mults []int64, err error) {
-	ok := s.s.ViewForEach(view, func(t tuple.Tuple, m int64) {
+	cs, ok := s.s.(*core.Snapshot)
+	if !ok {
+		return nil, nil, unsupported("ViewRows")
+	}
+	ok = cs.ViewForEach(view, func(t tuple.Tuple, m int64) {
 		row := make([]int64, len(t))
 		copy(row, t)
 		rows = append(rows, row)
