@@ -118,9 +118,11 @@ func (sh *shell) exec(line string) bool {
 			fmt.Println("error:", err)
 		}
 	case "result":
-		if !sh.ensureBuilt() {
+		snap := sh.snapshot()
+		if snap == nil {
 			return true
 		}
+		defer snap.Close()
 		limit := 50
 		if len(fields) == 2 {
 			if v, err := strconv.Atoi(fields[1]); err == nil {
@@ -128,7 +130,7 @@ func (sh *shell) exec(line string) bool {
 			}
 		}
 		n := 0
-		sh.engine.Enumerate(func(row []int64, m int64) bool {
+		snap.Enumerate(func(row []int64, m int64) bool {
 			parts := make([]string, len(row))
 			for i, v := range row {
 				parts[i] = strconv.FormatInt(v, 10)
@@ -141,10 +143,12 @@ func (sh *shell) exec(line string) bool {
 			fmt.Println("(empty)")
 		}
 	case "count":
-		if !sh.ensureBuilt() {
+		snap := sh.snapshot()
+		if snap == nil {
 			return true
 		}
-		fmt.Println(sh.engine.Count())
+		defer snap.Close()
+		fmt.Println(snap.Count())
 	case "stats":
 		if !sh.ensureBuilt() {
 			return true
@@ -167,6 +171,20 @@ func (sh *shell) ensureBuilt() bool {
 		return false
 	}
 	return true
+}
+
+// snapshot captures the built engine's committed state for one read, or
+// prints why it cannot and returns nil.
+func (sh *shell) snapshot() *ivmeps.Snapshot {
+	if !sh.ensureBuilt() {
+		return nil
+	}
+	snap, err := sh.engine.Snapshot()
+	if err != nil {
+		fmt.Println("error:", err)
+		return nil
+	}
+	return snap
 }
 
 func (sh *shell) build() error {

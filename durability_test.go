@@ -144,8 +144,8 @@ func TestDurableRoundTrip(t *testing.T) {
 	if !sameState(got, want) {
 		t.Fatalf("recovered state %v, want %v", got, want)
 	}
-	if r.Count() == 0 || r.N() == 0 {
-		t.Fatalf("recovered engine empty: count=%d N=%d", r.Count(), r.N())
+	if len(got) == 0 || r.N() == 0 {
+		t.Fatalf("recovered engine empty: count=%d N=%d", len(got), r.N())
 	}
 	// The recovered engine keeps committing durably into the same directory.
 	if err := r.Insert("S", []int64{12, 13}); err != nil {

@@ -18,7 +18,9 @@ func Example() {
 	_ = e.Build()
 	_ = e.Insert("R", []int64{3, 10})
 
-	rows, mults := e.Rows()
+	snap, _ := e.Snapshot() // every read goes through a snapshot
+	defer snap.Close()
+	rows, mults := snap.Rows()
 	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
 	for i, r := range rows {
 		fmt.Printf("Q(%d, %d) x%d\n", r[0], r[1], mults[i])
@@ -51,8 +53,8 @@ func ExampleQuery_Classify() {
 
 // A Snapshot pins one committed state: it keeps enumerating that state —
 // concurrently with ingestion, from any goroutine — no matter how the
-// engine is updated after the capture, while bare Enumerate always sees
-// the latest committed state via an implicit snapshot.
+// engine is updated after the capture, while a fresh Snapshot sees the
+// latest committed state.
 func Example_snapshot() {
 	q := ivmeps.MustParseQuery("Q(A, C) = R(A, B), S(B, C)")
 	e, _ := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5})
@@ -72,7 +74,9 @@ func Example_snapshot() {
 	for _, r := range rows {
 		fmt.Printf("  Q(%d, %d)\n", r[0], r[1])
 	}
-	fmt.Printf("live: %d tuples\n", e.Count())
+	latest, _ := e.Snapshot()
+	defer latest.Close()
+	fmt.Printf("live: %d tuples\n", latest.Count())
 	// Output:
 	// snapshot (epoch 1): 2 tuples
 	//   Q(1, 7)
@@ -98,7 +102,9 @@ func Example_batchWorkers() {
 		fmt.Println("batch rejected:", err)
 		return
 	}
-	fmt.Printf("result tuples after batch: %d\n", e.Count())
+	snap, _ := e.Snapshot()
+	defer snap.Close()
+	fmt.Printf("result tuples after batch: %d\n", snap.Count())
 	// Output:
 	// result tuples after batch: 1000
 }
@@ -133,7 +139,9 @@ func Example_batch() {
 		fmt.Println("batch rejected:", err)
 	}
 
-	rows, _ := e.Rows()
+	snap, _ := e.Snapshot()
+	defer snap.Close()
+	rows, _ := snap.Rows()
 	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
 	for _, r := range rows {
 		fmt.Printf("Q(%d, %d)\n", r[0], r[1])
@@ -144,18 +152,19 @@ func Example_batch() {
 	// Q(3, 9)
 }
 
-// All returns a Go 1.23 range-over-func iterator over the committed result:
-// each loop observes one consistent state (an implicit snapshot), and the
-// yielded row slice is reused between iterations.
-func ExampleEngine_All() {
+// All returns a Go 1.23 range-over-func iterator over the snapshot's
+// committed state; the yielded row slice is reused between iterations.
+func ExampleSnapshot_All() {
 	q := ivmeps.MustParseQuery("Q(A, C) = R(A, B), S(B, C)")
 	e, _ := ivmeps.New(q, ivmeps.Options{Epsilon: 0.5})
 	_ = e.Load("R", []int64{1, 10}, []int64{2, 10})
 	_ = e.Load("S", []int64{10, 7})
 	_ = e.Build()
 
+	snap, _ := e.Snapshot()
+	defer snap.Close()
 	total := 0
-	for row, mult := range e.All() {
+	for row, mult := range snap.All() {
 		_ = row
 		total += int(mult)
 	}
@@ -168,7 +177,7 @@ func ExampleEngine_All() {
 // paper's conclusion): loading a measure as the tuple's multiplicity makes
 // every enumerated multiplicity a SUM over the joined group, and loading 1
 // makes it a COUNT.
-func ExampleEngine_Enumerate_aggregates() {
+func ExampleSnapshot_Enumerate_aggregates() {
 	// SUM(spend) per region: Spend(Cust, Day) weighted by amount, joined
 	// with Location(Cust, Region), grouped by the free variable Region.
 	q := ivmeps.MustParseQuery("Total(Region) = Spend(Cust, Day), Location(Cust, Region)")
@@ -179,7 +188,9 @@ func ExampleEngine_Enumerate_aggregates() {
 	_ = e.Load("Location", []int64{1, 100}, []int64{2, 100}, []int64{3, 200})
 	_ = e.Build()
 
-	e.Enumerate(func(row []int64, sum int64) bool {
+	snap, _ := e.Snapshot()
+	defer snap.Close()
+	snap.Enumerate(func(row []int64, sum int64) bool {
 		fmt.Printf("region %d: total %d\n", row[0], sum)
 		return true
 	})
@@ -213,7 +224,9 @@ func Example_sharded() {
 	b.Insert("S", []int64{3, 300})
 	_ = s.Commit(b)
 
-	rows, _ := s.Rows()
+	snap, _ := s.Snapshot()
+	defer snap.Close()
+	rows, _ := snap.Rows()
 	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
 	for _, r := range rows {
 		fmt.Printf("Q(%d, %d, %d)\n", r[0], r[1], r[2])
@@ -248,13 +261,13 @@ func Example_checkpointRecover() {
 
 	r, _ := ivmeps.Open(q, opts)
 	defer r.Close()
-	rows, mults := r.Rows()
+	s, _ := r.Snapshot()
+	defer s.Close()
+	rows, mults := s.Rows()
 	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
 	for i, row := range rows {
 		fmt.Printf("Q(%d, %d) x%d\n", row[0], row[1], mults[i])
 	}
-	s, _ := r.Snapshot()
-	defer s.Close()
 	fmt.Printf("epoch %d after %d commits\n", s.Epoch(), 2)
 	// Output:
 	// Q(2, 7) x1

@@ -60,11 +60,15 @@ func main() {
 			got[i] = make([]int64, n)
 		}
 		entries := 0
-		e.Enumerate(func(row []int64, mult int64) bool {
+		snap, err := e.Snapshot()
+		if err != nil {
+			log.Fatal(err)
+		}
+		for row, mult := range snap.All() {
 			got[row[0]][row[1]] = mult
 			entries++
-			return true
-		})
+		}
+		snap.Close()
 		enum := time.Since(start)
 
 		for i := 0; i < n; i++ {

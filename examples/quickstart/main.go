@@ -60,8 +60,12 @@ func main() {
 }
 
 func printResult(e *ivmeps.Engine) {
-	e.Enumerate(func(row []int64, mult int64) bool {
+	snap, err := e.Snapshot()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer snap.Close()
+	for row, mult := range snap.All() {
 		fmt.Printf("  Q(%d, %d) ×%d\n", row[0], row[1], mult)
-		return true
-	})
+	}
 }

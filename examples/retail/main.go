@@ -77,16 +77,20 @@ func main() {
 	start = time.Now()
 	var count int
 	var maxGap time.Duration
+	snap, err := e.Snapshot()
+	if err != nil {
+		log.Fatal(err)
+	}
 	last := time.Now()
-	e.Enumerate(func(row []int64, mult int64) bool {
+	for range snap.All() {
 		now := time.Now()
 		if gap := now.Sub(last); gap > maxGap && count > 0 {
 			maxGap = gap
 		}
 		last = now
 		count++
-		return true
-	})
+	}
+	snap.Close()
 	fmt.Printf("report: %d distinct (customer, discount, region) rows in %v; worst per-row delay %v\n",
 		count, time.Since(start).Round(time.Millisecond), maxGap)
 
@@ -108,5 +112,10 @@ func main() {
 	el := time.Since(start)
 	fmt.Printf("applied %d live updates in %v (%.1fµs each amortized)\n",
 		updates, el.Round(time.Millisecond), float64(el.Microseconds())/updates)
-	fmt.Printf("rows now: %d\n", e.Count())
+	snap, err = e.Snapshot()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer snap.Close()
+	fmt.Printf("rows now: %d\n", snap.Count())
 }

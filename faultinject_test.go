@@ -207,7 +207,7 @@ func runFaultWorkload(t *testing.T, dir string, workers int, fs wal.VFS) *fiRun 
 				t.Fatalf("step %d: Checkpoint after wedge = %v, want LogWedgedError", si, err2)
 			}
 			// Reads keep serving the last committed state read-only.
-			if n := e.Count(); n != len(run.states[run.lastEpoch]) {
+			if n := len(resultOf(t, e)); n != len(run.states[run.lastEpoch]) {
 				t.Fatalf("step %d: degraded read Count=%d, want %d", si, n, len(run.states[run.lastEpoch]))
 			}
 			// The failed commit's record may or may not have reached disk;

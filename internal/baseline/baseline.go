@@ -79,8 +79,13 @@ func (s *IVMEps) Update(rel string, t tuple.Tuple, m int64) error {
 	return s.e.Update(rel, t, m)
 }
 
-// Enumerate yields the distinct result tuples with multiplicities.
-func (s *IVMEps) Enumerate(yield func(t tuple.Tuple, m int64) bool) { s.e.Enumerate(yield) }
+// Enumerate yields the distinct result tuples with multiplicities from a
+// snapshot of the current state.
+func (s *IVMEps) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
+	sn := s.e.Snapshot()
+	defer sn.Close()
+	sn.Enumerate(yield)
+}
 
 // Engine exposes the wrapped engine for inspection.
 func (s *IVMEps) Engine() *core.Engine { return s.e }
@@ -261,5 +266,10 @@ func (s *PlainTree) Update(rel string, t tuple.Tuple, m int64) error {
 	return s.e.Update(rel, t, m)
 }
 
-// Enumerate yields the distinct result tuples with multiplicities.
-func (s *PlainTree) Enumerate(yield func(t tuple.Tuple, m int64) bool) { s.e.Enumerate(yield) }
+// Enumerate yields the distinct result tuples with multiplicities from a
+// snapshot of the current state.
+func (s *PlainTree) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
+	sn := s.e.Snapshot()
+	defer sn.Close()
+	sn.Enumerate(yield)
+}

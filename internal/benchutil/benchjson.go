@@ -29,7 +29,9 @@ type GoBenchReport struct {
 
 // ParseGoBench parses the plain-text output of `go test -bench` (with or
 // without -benchmem) into a report. Unrecognized lines are skipped, so the
-// full test output can be piped in unfiltered.
+// full test output can be piped in unfiltered. Benchmark names are
+// normalized to the GOMAXPROCS=1 form (see stripProcs), so reports from
+// machines with different CPU counts compare by name.
 func ParseGoBench(r io.Reader) (*GoBenchReport, error) {
 	rep := &GoBenchReport{}
 	sc := bufio.NewScanner(r)
@@ -85,5 +87,28 @@ func ParseGoBench(r io.Reader) (*GoBenchReport, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	stripProcs(rep.Benchmarks)
 	return rep, nil
+}
+
+// stripProcs removes the "-N" suffix go test appends to every benchmark
+// name when GOMAXPROCS is N > 1. It strips only when every benchmark
+// carries the same such suffix: a 1-CPU run appends none, and its names
+// may themselves end in digits (K=4, size-16).
+func stripProcs(bs []GoBenchResult) {
+	suffix := ""
+	for i, b := range bs {
+		j := strings.LastIndexByte(b.Name, '-')
+		if j < 0 || j == len(b.Name)-1 || strings.Trim(b.Name[j+1:], "0123456789") != "" {
+			return
+		}
+		if i == 0 {
+			suffix = b.Name[j:]
+		} else if b.Name[j:] != suffix {
+			return
+		}
+	}
+	for i := range bs {
+		bs[i].Name = strings.TrimSuffix(bs[i].Name, suffix)
+	}
 }

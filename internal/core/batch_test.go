@@ -14,7 +14,7 @@ import (
 // query.
 func sameEngines(t *testing.T, label string, a, b *Engine) {
 	t.Helper()
-	ra, rb := a.ResultRelation(), b.ResultRelation()
+	ra, rb := resultOf(a), resultOf(b)
 	if ra.Size() != rb.Size() {
 		t.Fatalf("%s: result sizes differ: sequential %d, batch %d\nseq:   %v\nbatch: %v",
 			label, ra.Size(), rb.Size(), ra, rb)
@@ -158,7 +158,7 @@ func TestApplyBatchValidation(t *testing.T) {
 	if err := Preprocess(e, db); err != nil {
 		t.Fatal(err)
 	}
-	before := e.ResultRelation()
+	before := resultOf(e)
 	nBefore := e.N()
 
 	// Over-delete of an absent tuple, placed after valid rows.
@@ -170,7 +170,7 @@ func TestApplyBatchValidation(t *testing.T) {
 	if e.N() != nBefore {
 		t.Fatalf("failed batch changed N: %d -> %d", nBefore, e.N())
 	}
-	after := e.ResultRelation()
+	after := resultOf(e)
 	if after.Size() != before.Size() {
 		t.Fatalf("failed batch changed result: %d -> %d tuples", before.Size(), after.Size())
 	}

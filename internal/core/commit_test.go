@@ -250,7 +250,7 @@ func TestCommitBatchValidation(t *testing.T) {
 	if err := Preprocess(e, randomDB(q, rand.New(rand.NewSource(7)), 20, 4)); err != nil {
 		t.Fatal(err)
 	}
-	before := e.ResultRelation()
+	before := resultOf(e)
 	nBefore, epochBefore := e.N(), e.Epoch()
 	statsBefore := e.Stats()
 
@@ -267,7 +267,7 @@ func TestCommitBatchValidation(t *testing.T) {
 			t.Fatalf("%s batch changed engine: N %d→%d epoch %d→%d",
 				wantErr, nBefore, e.N(), epochBefore, e.Epoch())
 		}
-		after := e.ResultRelation()
+		after := resultOf(e)
 		if after.Size() != before.Size() {
 			t.Fatalf("%s batch changed result: %d → %d tuples", wantErr, before.Size(), after.Size())
 		}

@@ -50,11 +50,21 @@ func randomDB(q *query.Query, rng *rand.Rand, n int, domain int64) naive.Databas
 	return db
 }
 
+// resultOf materializes the engine's current committed result.
+func resultOf(e *Engine) *relation.Relation {
+	out := relation.New(e.orig.Name, e.orig.Free)
+	current(e)(func(t tuple.Tuple, m int64) bool {
+		out.MustAdd(t, m)
+		return true
+	})
+	return out
+}
+
 // sameResult compares the engine's enumerated result against ground truth.
 func sameResult(t *testing.T, label string, e *Engine, db naive.Database) {
 	t.Helper()
 	want := naive.MustEval(e.Query(), db)
-	got := e.ResultRelation()
+	got := resultOf(e)
 	if got.Size() != want.Size() {
 		t.Fatalf("%s: result size %d != %d\ngot:  %v\nwant: %v", label, got.Size(), want.Size(), got, want)
 	}
@@ -122,7 +132,7 @@ func TestDistinctEnumeration(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen := map[tuple.Key]bool{}
-		e.Enumerate(func(tu tuple.Tuple, m int64) bool {
+		current(e)(func(tu tuple.Tuple, m int64) bool {
 			k := tuple.EncodeKey(tu)
 			if seen[k] {
 				t.Fatalf("%s: duplicate tuple %v", qs, tu)

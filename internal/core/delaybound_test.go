@@ -16,17 +16,19 @@ import (
 // per-tuple operation count (cursor advances + lookups). Operation counts
 // are deterministic for a fixed workload, unlike wall time.
 func maxOpsPerTuple(e *Engine, limit int) int64 {
-	it := e.Result()
+	s := e.Snapshot()
+	defer s.Close()
+	it := s.Result()
 	defer it.Close()
 	var maxOps int64
-	last := e.Work()
+	last := s.Work()
 	n := 0
 	for {
 		_, _, ok := it.Next()
 		if !ok {
 			break
 		}
-		now := e.Work()
+		now := s.Work()
 		if d := now - last; d > maxOps {
 			maxOps = d
 		}

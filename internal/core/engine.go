@@ -62,11 +62,11 @@ type Options struct {
 // Engine maintains the materialized view trees of a hierarchical query and
 // answers enumeration requests over them.
 //
-// An Engine is single-writer: Update, ApplyBatch, CommitBatch, and the
-// direct Result/Enumerate path must all run on one goroutine (a commit
-// parallelizes internally). Snapshot may be called from any goroutine, and
-// the Snapshots it returns enumerate concurrently with the writer — see
-// snapshot.go for the epoch scheme.
+// An Engine is single-writer: Update, ApplyBatch and CommitBatch must run
+// on one goroutine (a commit parallelizes internally). Every read goes
+// through Snapshot, which may be called from any goroutine; the Snapshots
+// it returns enumerate concurrently with the writer — see snapshot.go for
+// the epoch scheme.
 type Engine struct {
 	orig *query.Query // user's query
 	q    *query.Query // occurrence-rewritten query (unique relation symbols)
@@ -134,15 +134,10 @@ type Engine struct {
 	jobGroups    [][]propJob
 	activeGroups []int
 
-	// Variable slots for enumeration bindings.
-	vars  tuple.Schema
-	slot  map[tuple.Variable]int
-	bind  []tuple.Value
-	bound []bool
-
-	// ectx is the engine's own enumeration context (live relations, the
-	// bind/bound arrays above); snapshots carry their own (snapshot.go).
-	ectx enumCtx
+	// Variable slots for enumeration bindings; each snapshot allocates its
+	// own binding arrays over them (snapshot.go).
+	vars tuple.Schema
+	slot map[tuple.Variable]int
 
 	// freeSlots are the slots of free(Q) in head order.
 	freeSlots []int
@@ -192,23 +187,18 @@ type Engine struct {
 
 	preprocessed bool
 
-	// work counts enumeration operations (cursor advances and lookups); a
-	// machine-independent proxy for the paper's delay metric.
-	work int64
-
 	// Stats counters.
 	stats Stats
 }
 
 // Stats reports engine activity counters.
 type Stats struct {
-	Updates          int64
-	MinorRebalances  int64
-	MajorRebalances  int64
-	DeltasApplied    int64 // single-tuple deltas applied to views
-	EnumeratedTuples int64
-	Batches          int64 // applied commits: every Update, ApplyBatch and CommitBatch that published an epoch
-	BatchRelations   int64 // distinct relations with a net effect, summed over the applied commits
+	Updates         int64
+	MinorRebalances int64
+	MajorRebalances int64
+	DeltasApplied   int64 // single-tuple deltas applied to views
+	Batches         int64 // applied commits: every Update, ApplyBatch and CommitBatch that published an epoch
+	BatchRelations  int64 // distinct relations with a net effect, summed over the applied commits
 }
 
 // nodeInfo caches per-node metadata for materialization and enumeration.
@@ -317,9 +307,6 @@ func New(q *query.Query, opts Options) (*Engine, error) {
 
 	// Variable slots.
 	e.vars = e.q.Vars()
-	e.bind = make([]tuple.Value, len(e.vars))
-	e.bound = make([]bool, len(e.vars))
-	e.ectx = enumCtx{e: e, bind: e.bind, bound: e.bound, work: &e.work, enumerated: &e.stats.EnumeratedTuples}
 	e.ws0.ubind = make([]tuple.Value, len(e.vars))
 	for i, v := range e.vars {
 		e.slot[v] = i
@@ -469,11 +456,6 @@ func (e *Engine) Epoch() uint64 {
 	defer e.mu.Unlock()
 	return e.epoch
 }
-
-// Work returns the cumulative count of enumeration operations (cursor
-// advances and multiplicity lookups). Differences between successive reads
-// measure per-tuple delay in machine-independent units.
-func (e *Engine) Work() int64 { return e.work }
 
 // Forest exposes the constructed view trees (read-only; for inspection and
 // tests).

@@ -20,38 +20,25 @@ import (
 // Product algorithm (Figure 16).
 //
 // All mutable enumeration state — the binding array, the bound flags, the
-// work counter, and the node→relation resolution — lives in an enumCtx, so
-// an enumeration belongs either to the engine itself (live relations,
-// writer-goroutine only) or to a Snapshot (frozen relations, own bindings,
-// concurrent with writers; snapshot.go).
+// work counter, and the node→relation resolution — lives in an enumCtx,
+// and every enumeration runs in a Snapshot's context (frozen relations,
+// own bindings, concurrent with writers; snapshot.go).
 
 // enumCtx is one enumeration context: the binding slots shared by a tree of
-// iterators, the delay-work counter, and the relation resolver. The
-// engine's own context resolves nodes to the live relations and may only be
-// used from the writer goroutine; a snapshot's context resolves nodes to
-// the frozen relations captured at snapshot time and is independent of
-// concurrent updates.
+// iterators, the delay-work counter, and the snapshot's frozen
+// node→relation capture, so it is independent of concurrent updates.
 type enumCtx struct {
 	e     *Engine
 	bind  []tuple.Value
 	bound []bool
 	work  *int64
-	// enumerated, when non-nil, counts emitted result tuples (the engine
-	// context points it at Stats.EnumeratedTuples; snapshot contexts leave
-	// it nil — engine stats are not written from reader goroutines).
-	enumerated *int64
-	// rels, when non-nil, is a snapshot's frozen node→relation capture;
-	// nil resolves live through Engine.relOf.
-	rels map[*viewtree.Node]*relation.Relation
+	rels  map[*viewtree.Node]*relation.Relation
 }
 
 func (c *enumCtx) tick() { *c.work++ }
 
-// relOf resolves the materialized relation backing a node, frozen or live.
+// relOf resolves the frozen relation backing a node.
 func (c *enumCtx) relOf(n *viewtree.Node) *relation.Relation {
-	if c.rels == nil {
-		return c.e.relOf(n)
-	}
 	r := c.rels[n]
 	if r == nil {
 		panic(fmt.Sprintf("core: snapshot did not capture a relation for node %s", n.Name))
@@ -720,17 +707,6 @@ func (c *enumCtx) result() *Iterator {
 	return &Iterator{c: c, top: top, out: make(tuple.Tuple, len(c.e.freeSlots))}
 }
 
-// Result opens an iterator over the current query result, reading the live
-// relations. The iterator is invalidated by updates; enumerate before
-// updating again (Section 1's model enumerates between update batches), or
-// take a Snapshot to enumerate concurrently with updates.
-func (e *Engine) Result() *Iterator {
-	if !e.preprocessed {
-		panic(ErrNotBuilt)
-	}
-	return e.ectx.result()
-}
-
 // Next returns the next distinct result tuple (over the query's free
 // variables) and its multiplicity. The returned tuple is only valid until
 // the next call; clone it to retain.
@@ -747,9 +723,6 @@ func (it *Iterator) Next() (tuple.Tuple, int64, bool) {
 	for i, s := range c.e.freeSlots {
 		it.out[i] = c.bind[s]
 	}
-	if c.enumerated != nil {
-		*c.enumerated++
-	}
 	return it.out, m, true
 }
 
@@ -759,33 +732,4 @@ func (it *Iterator) Close() {
 		it.top.close()
 		it.done = true
 	}
-}
-
-// Enumerate calls yield for every distinct result tuple with its
-// multiplicity, stopping early if yield returns false. It reads the live
-// relations and must not run concurrently with updates; use Snapshot for
-// that.
-func (e *Engine) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
-	it := e.Result()
-	defer it.Close()
-	for {
-		t, m, ok := it.Next()
-		if !ok {
-			return
-		}
-		if !yield(t, m) {
-			return
-		}
-	}
-}
-
-// ResultRelation materializes the full result; intended for tests and small
-// results.
-func (e *Engine) ResultRelation() *relation.Relation {
-	out := relation.New(e.orig.Name, e.orig.Free)
-	e.Enumerate(func(t tuple.Tuple, m int64) bool {
-		out.MustAdd(t, m)
-		return true
-	})
-	return out
 }

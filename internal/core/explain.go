@@ -12,7 +12,8 @@ import (
 // Explain returns a human-readable description of the engine's evaluation
 // strategy: the query's classification and widths, the cost guarantees at
 // the engine's ε, and the constructed view trees, partitions, and
-// indicators.
+// indicators. It may be called from any goroutine: the live state line is
+// read under the writer lock, and the rest does not change after New.
 func (e *Engine) Explain() string {
 	var b strings.Builder
 	c := query.Classify(e.orig)
@@ -27,9 +28,11 @@ func (e *Engine) Explain() string {
 		fmt.Fprintf(&b, ", amortized update O(N^%.2f)", d*eps)
 	}
 	b.WriteString("\n")
+	e.mu.Lock()
 	if e.preprocessed {
-		fmt.Fprintf(&b, "state: N = %d, M = %d, θ = M^ε = %.1f\n", e.n, e.m, e.Theta())
+		fmt.Fprintf(&b, "state: N = %d, M = %d, θ = M^ε = %.1f\n", e.n, e.m, e.theta)
 	}
+	e.mu.Unlock()
 
 	for ci, comp := range e.forest.Components {
 		fmt.Fprintf(&b, "component %d (%d view tree(s)):\n", ci+1, len(comp.Trees))

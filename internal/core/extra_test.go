@@ -49,7 +49,7 @@ func TestNullaryAtomComponent(t *testing.T) {
 		t.Fatal(err)
 	}
 	db["S"].MustAdd(tuple.Tuple{}, -5)
-	if got := e.ResultRelation(); got.Size() != 0 {
+	if got := resultOf(e); got.Size() != 0 {
 		t.Fatalf("result after emptying nullary fact: %v", got)
 	}
 }
@@ -82,6 +82,52 @@ func TestExplain(t *testing.T) {
 	if strings.Contains(s.Explain(), "update") {
 		t.Errorf("static Explain mentions updates:\n%s", s.Explain())
 	}
+}
+
+// Explain is safe from any goroutine: run with -race, a reader calling it
+// while the writer commits across a major rebalance must not race with the
+// writes of N, M and θ.
+func TestExplainConcurrentWithCommits(t *testing.T) {
+	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
+	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Preprocess(e, naive.Database{}); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	started := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			out := e.Explain()
+			if i == 0 {
+				close(started)
+			}
+			if !strings.Contains(out, "state: N = ") {
+				t.Error("Explain lost its state line")
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+	for i := int64(0); e.Stats().MajorRebalances == 0; i++ {
+		if err := e.Update("R", tuple.Tuple{i, i % 7}, 1); err != nil {
+			t.Fatal(err)
+		}
+		if i > 10000 {
+			t.Fatal("no major rebalance after 10000 inserts")
+		}
+	}
+	close(stop)
+	<-done
 }
 
 // Enumeration after a major rebalance must use the re-materialized views
@@ -131,7 +177,7 @@ func TestStaticDynamicParity(t *testing.T) {
 			if err := Preprocess(dy, db); err != nil {
 				t.Fatal(err)
 			}
-			sres, dres := st.ResultRelation(), dy.ResultRelation()
+			sres, dres := resultOf(st), resultOf(dy)
 			if sres.Size() != dres.Size() {
 				t.Fatalf("%s eps=%v: static %d tuples, dynamic %d", qs, eps, sres.Size(), dres.Size())
 			}
@@ -163,9 +209,11 @@ func TestWorkCounter(t *testing.T) {
 	if err := Preprocess(e, db); err != nil {
 		t.Fatal(err)
 	}
-	w0 := e.Work()
-	e.Enumerate(func(tuple.Tuple, int64) bool { return true })
-	w1 := e.Work()
+	s := e.Snapshot()
+	defer s.Close()
+	w0 := s.Work()
+	s.Enumerate(func(tuple.Tuple, int64) bool { return true })
+	w1 := s.Work()
 	if w1 <= w0 {
 		t.Fatalf("work counter did not advance: %d -> %d", w0, w1)
 	}

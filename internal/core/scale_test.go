@@ -62,7 +62,8 @@ func TestScaleSmoke(t *testing.T) {
 
 	start = time.Now()
 	count := 0
-	it := e.Result()
+	s := e.Snapshot()
+	it := s.Result()
 	for {
 		_, _, ok := it.Next()
 		if !ok {
@@ -74,6 +75,7 @@ func TestScaleSmoke(t *testing.T) {
 		}
 	}
 	it.Close()
+	s.Close()
 	enumTime := time.Since(start)
 
 	t.Logf("N=%d preprocess=%v updates(%d)=%v (%.1fµs/upd) enum(%d)=%v (%.2fµs/tuple)",

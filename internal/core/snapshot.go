@@ -110,8 +110,9 @@ func (e *Engine) Snapshot() *Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.preprocessed {
-		// The one panicking entry point of the read path (documented on the
-		// public Enumerate/Rows/Count/All): recover sees ErrNotBuilt itself.
+		// Callers check preprocessing first (the public Snapshot returns
+		// ErrNotBuilt); reaching here is a bug, and recover sees
+		// ErrNotBuilt itself.
 		panic(ErrNotBuilt)
 	}
 	return e.snapshotLocked()
@@ -157,8 +158,8 @@ func (e *Engine) snapshotLocked() *Snapshot {
 // committed write operations at capture time (see Engine.Epoch).
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
-// Result opens an iterator over the snapshot's state. Unlike Engine.Result,
-// the iterator stays valid while the engine keeps updating.
+// Result opens an iterator over the snapshot's state. The iterator stays
+// valid while the engine keeps updating.
 func (s *Snapshot) Result() *Iterator {
 	if s.closed {
 		panic("core: Result on a closed Snapshot")
@@ -182,9 +183,9 @@ func (s *Snapshot) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
 	}
 }
 
-// Work returns the snapshot's cumulative enumeration-operation count (the
-// same machine-independent delay proxy as Engine.Work, but private to this
-// snapshot's readers).
+// Work returns the snapshot's cumulative enumeration-operation count
+// (cursor advances and multiplicity lookups): differences between
+// successive reads measure per-tuple delay in machine-independent units.
 func (s *Snapshot) Work() int64 { return s.work }
 
 // Close drops the snapshot's reference on its generation; when the last

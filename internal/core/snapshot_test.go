@@ -6,10 +6,21 @@ import (
 	"sync"
 	"testing"
 
+	"ivmeps/internal/naive"
 	"ivmeps/internal/query"
 	"ivmeps/internal/tuple"
 	"ivmeps/internal/viewtree"
 )
+
+// current enumerates e's current committed state through a snapshot that
+// each call takes and closes before returning.
+func current(e *Engine) func(func(tuple.Tuple, int64) bool) {
+	return func(yield func(tuple.Tuple, int64) bool) {
+		s := e.Snapshot()
+		defer s.Close()
+		s.Enumerate(yield)
+	}
+}
 
 // resultMap materializes an enumeration into a comparable map.
 func resultMap(enum func(func(tuple.Tuple, int64) bool)) map[string]int64 {
@@ -46,7 +57,7 @@ func TestSnapshotSeesPreBatchState(t *testing.T) {
 	if err := Preprocess(e, randomDB(q, rng, 30, 5)); err != nil {
 		t.Fatal(err)
 	}
-	pre := resultMap(e.Enumerate)
+	pre := resultMap(current(e))
 	preEpoch := e.Epoch()
 
 	snap := e.Snapshot()
@@ -62,10 +73,10 @@ func TestSnapshotSeesPreBatchState(t *testing.T) {
 	if err := e.Update("S", tuple.Tuple{3, 3}, 2); err != nil {
 		t.Fatal(err)
 	}
-	post := resultMap(e.Enumerate)
+	post := resultMap(current(e))
 
 	sameResultMap(t, "snapshot after batch", resultMap(snap.Enumerate), pre)
-	sameResultMap(t, "engine after batch", resultMap(e.Enumerate), post)
+	sameResultMap(t, "engine after batch", resultMap(current(e)), post)
 	if e.Epoch() == preEpoch {
 		t.Fatalf("epoch did not advance across commits")
 	}
@@ -92,7 +103,7 @@ func TestSnapshotAcrossMajorRebalance(t *testing.T) {
 	if err := Preprocess(e, randomDB(q, rng, 20, 5)); err != nil {
 		t.Fatal(err)
 	}
-	pre := resultMap(e.Enumerate)
+	pre := resultMap(current(e))
 	snap := e.Snapshot()
 	defer snap.Close()
 
@@ -117,9 +128,9 @@ func TestSnapshotAcrossMajorRebalance(t *testing.T) {
 // exactly the committed state of its epoch: some pre- or post-batch state,
 // never a mixture. Reader goroutines snapshot and materialize continuously
 // while the writer commits a stream of batches and single updates,
-// recording the materialization of every committed epoch; every reader
-// observation must match the writer's record for its epoch. Run with
-// -race, this is also the race suite for Enumerate/Snapshot vs ApplyBatch.
+// recording the naive oracle's result for every committed epoch; every
+// reader observation must match that record for its epoch. Run with -race,
+// this is also the race suite for Snapshot enumeration vs ApplyBatch.
 func TestSnapshotConsistentUnderConcurrentBatches(t *testing.T) {
 	forcePool(t)
 	for _, workers := range []int{1, 2, 8} {
@@ -136,10 +147,17 @@ func TestSnapshotConsistentUnderConcurrentBatches(t *testing.T) {
 			}
 			defer e.Close()
 
-			// states[epoch] is the writer-side materialization after the
-			// commit that published epoch. Written only by the writer
-			// goroutine; read after the readers join.
-			states := map[uint64]map[string]int64{e.Epoch(): resultMap(e.Enumerate)}
+			// states[epoch] is naive.MustEval over db after the commit that
+			// published epoch: db is a shadow the writer updates beside the
+			// engine, so the reference shares no code with the enumeration
+			// iterators. Written only by the writer goroutine; read after
+			// the readers join.
+			oracle := func() map[string]int64 {
+				out := map[string]int64{}
+				naive.MustEval(q, db).ForEach(func(t tuple.Tuple, m int64) { out[fmt.Sprint(t)] = m })
+				return out
+			}
+			states := map[uint64]map[string]int64{e.Epoch(): oracle()}
 
 			type obs struct {
 				epoch uint64
@@ -195,14 +213,18 @@ func TestSnapshotConsistentUnderConcurrentBatches(t *testing.T) {
 						if err := e.Update(rel, rows[i], mults[i]); err != nil {
 							t.Fatal(err)
 						}
-						states[e.Epoch()] = resultMap(e.Enumerate)
+						db[rel].MustAdd(rows[i], mults[i])
+						states[e.Epoch()] = oracle()
 					}
 					continue
 				}
 				if err := e.ApplyBatch(rel, rows, mults); err != nil {
 					t.Fatal(err)
 				}
-				states[e.Epoch()] = resultMap(e.Enumerate)
+				for i := range rows {
+					db[rel].MustAdd(rows[i], mults[i])
+				}
+				states[e.Epoch()] = oracle()
 			}
 			close(stop)
 			wg.Wait()

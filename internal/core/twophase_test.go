@@ -51,7 +51,7 @@ func TestPrepareApplyEqualsCommit(t *testing.T) {
 	if got := e.Epoch(); got != before+1 {
 		t.Errorf("epoch after ApplyPrepared = %d, want %d", got, before+1)
 	}
-	sameResultMap(t, "prepare+apply vs CommitBatch", resultMap(e.Enumerate), resultMap(ref.Enumerate))
+	sameResultMap(t, "prepare+apply vs CommitBatch", resultMap(current(e)), resultMap(current(ref)))
 	if err := e.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
@@ -71,7 +71,7 @@ func TestAbortPreparedLeavesStateUntouched(t *testing.T) {
 	if err := Preprocess(e, randomDB(q, rng, 100, 12)); err != nil {
 		t.Fatal(err)
 	}
-	before := resultMap(e.Enumerate)
+	before := resultMap(current(e))
 	epoch, n := e.Epoch(), e.N()
 	ops := []BatchOp{
 		{Rel: "R", Row: tuple.Tuple{7, 7}, Mult: 1},
@@ -87,7 +87,7 @@ func TestAbortPreparedLeavesStateUntouched(t *testing.T) {
 	if got := e.N(); got != n {
 		t.Errorf("N after abort = %d, want %d", got, n)
 	}
-	sameResultMap(t, "abort", resultMap(e.Enumerate), before)
+	sameResultMap(t, "abort", resultMap(current(e)), before)
 	if len(e.batchTouched) != 0 || e.staged {
 		t.Errorf("staged scratch survives abort: touched=%d staged=%v", len(e.batchTouched), e.staged)
 	}
@@ -144,7 +144,7 @@ func TestBatchOpInvalidRelID(t *testing.T) {
 	if id := e.RelID("nope"); id != 0 {
 		t.Fatalf("RelID(nope) = %d, want 0", id)
 	}
-	before := resultMap(e.Enumerate)
+	before := resultMap(current(e))
 	err = e.CommitBatch([]BatchOp{
 		{Rel: "R", RelID: e.RelID("R"), Row: tuple.Tuple{1, 1}, Mult: 1},
 		{Rel: "R", RelID: 99, Row: tuple.Tuple{2, 2}, Mult: 1},
@@ -152,7 +152,7 @@ func TestBatchOpInvalidRelID(t *testing.T) {
 	if !errors.Is(err, ErrUnknownRelation) {
 		t.Fatalf("invalid RelID returned %v, want ErrUnknownRelation", err)
 	}
-	sameResultMap(t, "invalid RelID", resultMap(e.Enumerate), before)
+	sameResultMap(t, "invalid RelID", resultMap(current(e)), before)
 }
 
 // TestBatchRebalanceHysteresis is the adversarial-ingest regression for
@@ -250,7 +250,7 @@ func TestSnapshotCaptureCachedGeneration(t *testing.T) {
 	if s1.gen != s2.gen {
 		t.Error("two snapshots of one epoch do not share a generation")
 	}
-	want := resultMap(e.Enumerate)
+	want := resultMap(current(e))
 	sameResultMap(t, "shared-generation snapshot", resultMap(s2.Enumerate), want)
 	if err := e.Update("R", tuple.Tuple{900, 900}, 1); err != nil {
 		t.Fatal(err)

@@ -9,10 +9,11 @@ import (
 )
 
 // fakeIter is a synthetic resultIter over a fixed set of single-variable
-// tuples, binding one engine slot. It lets the Union and Product algorithms
-// (Figures 15 and 16) be tested in isolation from view trees.
+// tuples, binding one slot of a shared binding array. It lets the Union and
+// Product algorithms (Figures 15 and 16) be tested in isolation from view
+// trees.
 type fakeIter struct {
-	e    *Engine
+	bs   *fakeBindings
 	slot int
 	rows []weighted // distinct tuples of arity 1
 	pos  int
@@ -26,13 +27,13 @@ func (f *fakeIter) next() (int64, bool) {
 	}
 	w := f.rows[f.pos]
 	f.pos++
-	f.e.bind[f.slot] = w.t[0]
-	f.e.bound[f.slot] = true
+	f.bs.bind[f.slot] = w.t[0]
+	f.bs.bound[f.slot] = true
 	return w.m, true
 }
 
 func (f *fakeIter) lookup() int64 {
-	v := f.e.bind[f.slot]
+	v := f.bs.bind[f.slot]
 	for _, w := range f.rows {
 		if w.t[0] == v {
 			return w.m
@@ -43,15 +44,21 @@ func (f *fakeIter) lookup() int64 {
 
 func (f *fakeIter) rebind() {
 	if f.pos > 0 {
-		f.e.bind[f.slot] = f.rows[f.pos-1].t[0]
-		f.e.bound[f.slot] = true
+		f.bs.bind[f.slot] = f.rows[f.pos-1].t[0]
+		f.bs.bound[f.slot] = true
 	}
 }
 
-func (f *fakeIter) close() { f.e.bound[f.slot] = false }
+func (f *fakeIter) close() { f.bs.bound[f.slot] = false }
 
-func fakeEngine(slots int) *Engine {
-	return &Engine{bind: make([]tuple.Value, slots), bound: make([]bool, slots)}
+// fakeBindings is the binding array the fake iterators of one test share.
+type fakeBindings struct {
+	bind  []tuple.Value
+	bound []bool
+}
+
+func newFakeBindings(slots int) *fakeBindings {
+	return &fakeBindings{bind: make([]tuple.Value, slots), bound: make([]bool, slots)}
 }
 
 // TestUnionAlgorithmSynthetic checks the Figure 15 semantics directly:
@@ -59,7 +66,7 @@ func fakeEngine(slots int) *Engine {
 // overlap pattern and operand order.
 func TestUnionAlgorithmSynthetic(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	e := fakeEngine(1)
+	bs := newFakeBindings(1)
 	for trial := 0; trial < 500; trial++ {
 		nOps := 1 + rng.Intn(5)
 		want := map[tuple.Value]int64{}
@@ -67,7 +74,7 @@ func TestUnionAlgorithmSynthetic(t *testing.T) {
 		for i := 0; i < nOps; i++ {
 			n := rng.Intn(6)
 			seen := map[tuple.Value]bool{}
-			f := &fakeIter{e: e, slot: 0}
+			f := &fakeIter{bs: bs, slot: 0}
 			for j := 0; j < n; j++ {
 				v := tuple.Value(rng.Intn(8))
 				if seen[v] {
@@ -90,7 +97,7 @@ func TestUnionAlgorithmSynthetic(t *testing.T) {
 			if !ok {
 				break
 			}
-			v := e.bind[0]
+			v := bs.bind[0]
 			if _, dup := got[v]; dup {
 				t.Fatalf("trial %d: duplicate emission of %d", trial, v)
 			}
@@ -111,9 +118,9 @@ func TestUnionAlgorithmSynthetic(t *testing.T) {
 // TestProductAlgorithmSynthetic checks the Figure 16 odometer: all
 // combinations, multiplied multiplicities, working resets.
 func TestProductAlgorithmSynthetic(t *testing.T) {
-	e := fakeEngine(3)
+	bs := newFakeBindings(3)
 	mk := func(slot int, vals ...int64) *fakeIter {
-		f := &fakeIter{e: e, slot: slot}
+		f := &fakeIter{bs: bs, slot: slot}
 		for _, v := range vals {
 			f.rows = append(f.rows, weighted{t: tuple.Tuple{v}, m: v})
 		}
@@ -128,7 +135,7 @@ func TestProductAlgorithmSynthetic(t *testing.T) {
 		if !ok {
 			break
 		}
-		c := combo{e.bind[0], e.bind[1], e.bind[2]}
+		c := combo{bs.bind[0], bs.bind[1], bs.bind[2]}
 		if _, dup := got[c]; dup {
 			t.Fatalf("duplicate combo %v", c)
 		}
@@ -166,13 +173,13 @@ func TestProductAlgorithmSynthetic(t *testing.T) {
 // the algorithm level: two products over shared slots joined by a union
 // must not leak one operand's bindings into the other's resumption.
 func TestUnionOfProductsInterleaving(t *testing.T) {
-	e := fakeEngine(2)
+	bs := newFakeBindings(2)
 	mkP := func(avals, bvals []int64) resultIter {
-		fa := &fakeIter{e: e, slot: 0}
+		fa := &fakeIter{bs: bs, slot: 0}
 		for _, v := range avals {
 			fa.rows = append(fa.rows, weighted{t: tuple.Tuple{v}, m: 1})
 		}
-		fb := &fakeIter{e: e, slot: 1}
+		fb := &fakeIter{bs: bs, slot: 1}
 		for _, v := range bvals {
 			fb.rows = append(fb.rows, weighted{t: tuple.Tuple{v}, m: 1})
 		}
@@ -186,7 +193,7 @@ func TestUnionOfProductsInterleaving(t *testing.T) {
 		if !ok {
 			break
 		}
-		got = append(got, [2]int64{e.bind[0], e.bind[1]})
+		got = append(got, [2]int64{bs.bind[0], bs.bind[1]})
 	}
 	sort.Slice(got, func(i, j int) bool {
 		if got[i][0] != got[j][0] {

@@ -20,19 +20,19 @@ type OpsDelayStats struct {
 // measureDelayOps enumerates up to limit tuples and records the engine
 // operations consumed per tuple.
 func measureDelayOps(sys *baseline.IVMEps, limit int) OpsDelayStats {
-	e := sys.Engine()
-	start := e.Work()
-	it := e.Result()
+	s := sys.Engine().Snapshot()
+	defer s.Close()
+	it := s.Result()
 	defer it.Close()
-	open := e.Work() - start
+	open := s.Work()
 	var gaps []int64
-	last := e.Work()
+	last := open
 	for {
 		_, _, ok := it.Next()
 		if !ok {
 			break
 		}
-		now := e.Work()
+		now := s.Work()
 		gaps = append(gaps, now-last)
 		last = now
 		if limit > 0 && len(gaps) >= limit {

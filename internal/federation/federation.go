@@ -646,7 +646,6 @@ func (f *Fed) Stats() core.Stats {
 		out.MinorRebalances += s.MinorRebalances
 		out.MajorRebalances += s.MajorRebalances
 		out.DeltasApplied += s.DeltasApplied
-		out.EnumeratedTuples += s.EnumeratedTuples
 		out.Batches += s.Batches
 		out.BatchRelations += s.BatchRelations
 	}
@@ -691,8 +690,8 @@ func (f *Fed) Snapshot() *Snapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !f.built {
-		// Matches core.Engine.Snapshot: the panicking entry point of the
-		// read path; the public façade converts this to an error.
+		// Matches core.Engine.Snapshot: the public façade checks Build
+		// first and returns ErrNotBuilt.
 		panic(core.ErrNotBuilt)
 	}
 	s := &Snapshot{f: f, epoch: f.epoch, snaps: make([]*core.Snapshot, f.k)}
@@ -768,13 +767,4 @@ func (s *Snapshot) Close() {
 	for _, sh := range s.snaps {
 		sh.Close()
 	}
-}
-
-// Enumerate yields every distinct result tuple of the current committed
-// state with its multiplicity through an implicit snapshot, the federation
-// analogue of core's Engine.Enumerate.
-func (f *Fed) Enumerate(yield func(t tuple.Tuple, m int64) bool) {
-	s := f.Snapshot()
-	defer s.Close()
-	s.Enumerate(yield)
 }

@@ -40,6 +40,19 @@ func randomDB(q *query.Query, rng *rand.Rand, n int, domain int64) naive.Databas
 	return db
 }
 
+// current enumerates the committed state of a federation or a single
+// engine through a snapshot that each call takes and closes.
+func current[S interface {
+	Enumerate(func(tuple.Tuple, int64) bool)
+	Close()
+}](snapshot func() S) func(func(tuple.Tuple, int64) bool) {
+	return func(yield func(tuple.Tuple, int64) bool) {
+		s := snapshot()
+		defer s.Close()
+		s.Enumerate(yield)
+	}
+}
+
 func resultMap(enum func(func(tuple.Tuple, int64) bool)) map[string]int64 {
 	out := map[string]int64{}
 	enum(func(t tuple.Tuple, m int64) bool {
@@ -158,7 +171,7 @@ func TestFederatedMatchesSingleEngine(t *testing.T) {
 						if fe, re := f.Epoch(), ref.Epoch(); fe != re {
 							t.Fatalf("%s: federation epoch %d, single-engine epoch %d", label, fe, re)
 						}
-						sameResultMap(t, label+"/live", resultMap(f.Enumerate), resultMap(ref.Enumerate))
+						sameResultMap(t, label+"/live", resultMap(current(f.Snapshot)), resultMap(current(ref.Snapshot)))
 						fs, rs := f.Snapshot(), ref.Snapshot()
 						sameResultMap(t, label+"/snapshot", resultMap(fs.Enumerate), resultMap(rs.Enumerate))
 						if fs.Epoch() != f.Epoch() {
@@ -264,7 +277,7 @@ func TestCrossShardAllOrNothing(t *testing.T) {
 	for i, e := range f.shards {
 		shardEpochs[i] = e.Epoch()
 	}
-	before := resultMap(f.Enumerate)
+	before := resultMap(current(f.Snapshot))
 	n := f.N()
 
 	err = f.CommitBatch(ops)
@@ -291,7 +304,7 @@ func TestCrossShardAllOrNothing(t *testing.T) {
 			t.Errorf("shard %d epoch moved %d → %d on a failed commit", i, shardEpochs[i], got)
 		}
 	}
-	sameResultMap(t, "failed cross-shard commit", resultMap(f.Enumerate), before)
+	sameResultMap(t, "failed cross-shard commit", resultMap(current(f.Snapshot)), before)
 	if got := f.N(); got != n {
 		t.Errorf("N moved %d → %d on a failed commit", n, got)
 	}
@@ -313,7 +326,7 @@ func TestCrossShardAllOrNothing(t *testing.T) {
 	if errors.As(err, &se) {
 		t.Errorf("scatter-time arity error wrongly attributed to shard %d", se.Shard)
 	}
-	sameResultMap(t, "failed scatter", resultMap(f.Enumerate), before)
+	sameResultMap(t, "failed scatter", resultMap(current(f.Snapshot)), before)
 }
 
 // TestShardErrorUnwrap pins the error chain: sentinel values and
@@ -380,7 +393,7 @@ func TestFederationUpdateParity(t *testing.T) {
 		if fe, re := f.Epoch(), ref.Epoch(); fe != re {
 			t.Fatalf("after %v: federation epoch %d, single %d", st, fe, re)
 		}
-		sameResultMap(t, fmt.Sprint(st), resultMap(f.Enumerate), resultMap(ref.Enumerate))
+		sameResultMap(t, fmt.Sprint(st), resultMap(current(f.Snapshot)), resultMap(current(ref.Snapshot)))
 	}
 	if err := f.Update("nope", tuple.Tuple{1}, 1); !errors.Is(err, core.ErrUnknownRelation) {
 		t.Errorf("Update on unknown relation returned %v", err)

@@ -24,9 +24,11 @@
 //	_ = e.Load("S", []int64{10, 7})
 //	_ = e.Build()
 //	_ = e.Insert("R", []int64{3, 10})
-//	for row, mult := range e.All() {
+//	s, _ := e.Snapshot()
+//	for row, mult := range s.All() {
 //		fmt.Println(row, mult)
 //	}
+//	s.Close()
 //
 // ParseQuery turns the query text into a Query, whose Classify method
 // reports the Class the paper's taxonomy assigns it — hierarchical or not,
@@ -61,7 +63,8 @@
 //
 // Mutation errors are programmable, not stringly: Is-match ErrNotBuilt,
 // ErrUnknownRelation, and ErrStatic, and As-match the structured
-// ArityError and MultiplicityError.
+// ArityError and MultiplicityError. A read before Build gets ErrNotBuilt
+// from Snapshot.
 //
 // # Parallel batches
 //
@@ -80,31 +83,19 @@
 // Close to release the pool when discarding an engine early; a
 // garbage-collected engine releases it automatically.
 //
-// # Errors and the one panic
-//
-// Every entry point that can fail returns an error — with one deliberate
-// exception. The enumeration conveniences Enumerate, Rows, Count, and All
-// (on Engine; the Snapshot variants cannot be obtained before Build) have
-// no error results so they compose with range loops, and calling them
-// before Build is unambiguous API misuse: they panic with ErrNotBuilt
-// rather than silently yielding nothing. That is the package's only panic
-// on misuse; programmatic callers who prefer an error call Snapshot, which
-// returns ErrNotBuilt instead.
-//
 // # Snapshots
 //
-// Readers do not block the writer. Snapshot captures the current committed
-// state in O(#views) — no data is copied up front — and the returned
-// Snapshot enumerates that state concurrently with Apply and Commit:
-// when the writer first mutates a relation some live snapshot pins, it
-// detaches the storage copy-on-write, so the snapshot keeps its view while
-// ingestion proceeds. A snapshot taken while a batch is in flight blocks
-// until the batch commits and then observes the post-batch state; it never
-// observes a half-applied batch. Enumerate takes (and closes) an implicit
-// snapshot per call, so bare Enumerate is always safe concurrently with
-// updates and with other readers; hold an explicit Snapshot to make several
-// reads observe one state, and Close it promptly — an open snapshot makes
-// the writer copy each relation it touches once per snapshot generation.
+// Every read goes through a Snapshot, and readers do not block the writer.
+// Snapshot captures the current committed state in O(#views) — no data is
+// copied up front — and the returned Snapshot reads that state (Enumerate,
+// All, Rows, Count) concurrently with Apply and Commit: when the writer
+// first mutates a relation some live snapshot pins, it detaches the
+// storage copy-on-write, so the snapshot keeps its view while ingestion
+// proceeds. A snapshot taken while a batch is in flight blocks until the
+// batch commits and then observes the post-batch state; it never observes
+// a half-applied batch. Every read of one snapshot observes the same
+// state. Close it promptly — an open snapshot makes the writer copy each
+// relation it touches once per snapshot generation.
 //
 // # Sharding
 //
@@ -159,7 +150,7 @@
 // never retried — its page-cache state is unknowable), and the engine
 // degrades to read-only: every further Insert/Delete/Apply/Commit
 // returns the same LogWedgedError with the in-memory state
-// untouched, while Snapshot, All, Rows, Count, and Enumerate keep serving
+// untouched, while Snapshot and the reads of its snapshots keep serving
 // the last committed state. Recovery is by restart: reopen the directory
 // with Open, which replays exactly the commits that reached disk. See the
 // failure model in docs/DURABILITY.md.
@@ -421,7 +412,7 @@ func (e *Engine) LoadWeighted(rel string, row []int64, mult int64) error {
 // Build runs the preprocessing stage over the loaded data — on a sharded
 // engine, partitions it across the shards and preprocesses them in
 // parallel. It must be called exactly once, before any
-// Insert/Delete/Apply/Enumerate.
+// Insert/Delete/Apply/Snapshot.
 func (e *Engine) Build() error {
 	if e.built {
 		return fmt.Errorf("ivmeps: Build called twice")
@@ -495,51 +486,6 @@ func (e *Engine) Close() error {
 	return wrapErr(err)
 }
 
-// Enumerate yields every distinct result tuple (over the query's free
-// variables, in head order) with its multiplicity, with O(N^(1−ε)) delay.
-// The row slice is reused between calls; copy it to retain. Return false to
-// stop early.
-//
-// Enumerate takes an implicit Snapshot for the duration of the call, so it
-// observes one committed state and is safe to call from any goroutine,
-// concurrently with Commit/Apply and with other readers. To make
-// several reads observe the same state, take an explicit Snapshot instead.
-//
-// Enumerate before Build panics with ErrNotBuilt (the package's one panic
-// on misuse; see the package documentation).
-func (e *Engine) Enumerate(yield func(row []int64, mult int64) bool) {
-	s := e.mustSnapshot()
-	defer s.Close()
-	s.Enumerate(yield)
-}
-
-// All returns an iterator over the current committed result, for use with
-// range: every distinct result tuple (over the query's free variables, in
-// head order) with its multiplicity. Like Enumerate, each ranging takes an
-// implicit Snapshot, so one loop observes one committed state and may run
-// concurrently with updates; the yielded row slice is reused between
-// iterations — copy it to retain.
-//
-// Ranging over All before Build panics with ErrNotBuilt (the package's one
-// panic on misuse; see the package documentation).
-func (e *Engine) All() iter.Seq2[[]int64, int64] {
-	return func(yield func([]int64, int64) bool) {
-		s := e.mustSnapshot()
-		defer s.Close()
-		s.Enumerate(yield)
-	}
-}
-
-// mustSnapshot backs the enumeration conveniences: it panics with
-// ErrNotBuilt where Snapshot would return it.
-func (e *Engine) mustSnapshot() *Snapshot {
-	s, err := e.Snapshot()
-	if err != nil {
-		panic(ErrNotBuilt)
-	}
-	return s
-}
-
 // Snapshot captures the current committed state for concurrent reading:
 // the returned Snapshot enumerates that exact state no matter how the
 // engine is updated afterwards, without blocking the writer (see the
@@ -586,8 +532,8 @@ type Snapshot struct {
 func (s *Snapshot) Epoch() uint64 { return s.s.Epoch() }
 
 // Enumerate yields every distinct result tuple of the snapshot's state
-// with its multiplicity, in head order, with the same delay guarantee as
-// Engine.Enumerate. The row slice is reused between calls; copy it to
+// (over the query's free variables, in head order) with its multiplicity,
+// with O(N^(1−ε)) delay. The row slice is reused between calls; copy it to
 // retain. Return false to stop early.
 func (s *Snapshot) Enumerate(yield func(row []int64, mult int64) bool) {
 	s.s.Enumerate(func(t tuple.Tuple, m int64) bool { return yield(t, m) })
@@ -629,23 +575,6 @@ func (s *Snapshot) Count() int {
 // generation. It is idempotent; the snapshot must not be used afterwards.
 func (s *Snapshot) Close() { s.s.Close() }
 
-// Rows materializes the full result as (row, multiplicity) pairs; intended
-// for small results and tests. Like Enumerate, it reads one committed
-// state via an implicit snapshot, and panics with ErrNotBuilt before Build.
-func (e *Engine) Rows() (rows [][]int64, mults []int64) {
-	s := e.mustSnapshot()
-	defer s.Close()
-	return s.Rows()
-}
-
-// Count returns the number of distinct result tuples (by enumeration of an
-// implicit snapshot). It panics with ErrNotBuilt before Build.
-func (e *Engine) Count() int {
-	s := e.mustSnapshot()
-	defer s.Close()
-	return s.Count()
-}
-
 // N returns the current database size: the total number of distinct tuples
 // across the query's relations, each counted once regardless of sharding.
 // N may be called from any goroutine.
@@ -676,7 +605,8 @@ type Stats struct {
 // Explain returns a human-readable description of the engine's strategy:
 // the query's classification, the cost guarantees at this ε, and the view
 // trees, heavy/light indicators, and relation partitions it maintains. A
-// sharded engine returns the refusal text instead.
+// sharded engine returns the refusal text instead. Explain may be called
+// from any goroutine.
 func (e *Engine) Explain() string {
 	if e.fed != nil {
 		return unsupported("Explain").Error()

@@ -27,8 +27,8 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err := e.Build(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Count() != 2 || e.N() != 3 {
-		t.Fatalf("count=%d N=%d", e.Count(), e.N())
+	if rows, _ := rowsOf(t, e); len(rows) != 2 || e.N() != 3 {
+		t.Fatalf("count=%d N=%d", len(rows), e.N())
 	}
 	if err := e.Insert("R", []int64{3, 10}); err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err := e.Delete("R", []int64{1, 10}); err != nil {
 		t.Fatal(err)
 	}
-	rows, mults := e.Rows()
+	rows, mults := rowsOf(t, e)
 	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
 	if len(rows) != 2 || rows[0][0] != 2 || rows[0][1] != 7 || rows[1][0] != 3 {
 		t.Fatalf("rows = %v %v", rows, mults)
@@ -181,8 +181,8 @@ func TestPublicAPIBatchMatchesSequential(t *testing.T) {
 	if err := bat.Commit(b); err != nil {
 		t.Fatal(err)
 	}
-	sr, sm := seq.Rows()
-	br, bm := bat.Rows()
+	sr, sm := rowsOf(t, seq)
+	br, bm := rowsOf(t, bat)
 	if len(sr) != len(br) {
 		t.Fatalf("result sizes differ: sequential %d, batch %d", len(sr), len(br))
 	}
@@ -242,7 +242,7 @@ func TestPublicAPIBooleanAndEarlyStop(t *testing.T) {
 	if err := e.Build(); err != nil {
 		t.Fatal(err)
 	}
-	rows, mults := e.Rows()
+	rows, mults := rowsOf(t, e)
 	if len(rows) != 1 || len(rows[0]) != 0 || mults[0] != 2 {
 		t.Fatalf("boolean result = %v %v", rows, mults)
 	}
@@ -256,8 +256,13 @@ func TestPublicAPIBooleanAndEarlyStop(t *testing.T) {
 	if err := big.Build(); err != nil {
 		t.Fatal(err)
 	}
+	s, err := big.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	n := 0
-	big.Enumerate(func(row []int64, m int64) bool {
+	s.Enumerate(func(row []int64, m int64) bool {
 		n++
 		return n < 5
 	})
@@ -309,12 +314,12 @@ func TestPublicAPIWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	base, bm := engines[0].Rows()
+	base, bm := rowsOf(t, engines[0])
 	if len(base) == 0 {
 		t.Fatal("empty result; workload bug")
 	}
 	for _, e := range engines[1:] {
-		r, m := e.Rows()
+		r, m := rowsOf(t, e)
 		if len(r) != len(base) {
 			t.Fatalf("result sizes differ across worker counts: %d vs %d", len(base), len(r))
 		}

@@ -47,6 +47,14 @@ func shardedPair(t *testing.T, qs string, k int, rng *rand.Rand, n int, domain i
 	return e, s
 }
 
+// resultOf reads e's committed result through a snapshot it closes before
+// returning.
+func resultOf(t testing.TB, e *ivmeps.Engine) map[string]int64 {
+	t.Helper()
+	res, _ := durState(t, e)
+	return res
+}
+
 func publicResultMap(enum func(func([]int64, int64) bool)) map[string]int64 {
 	out := map[string]int64{}
 	enum(func(row []int64, m int64) bool {
@@ -84,7 +92,7 @@ func TestShardedMatchesEngine(t *testing.T) {
 				t.Fatalf("Shards() = %d, want %d", s.Shards(), k)
 			}
 
-			requireSameResults(t, "after build", publicResultMap(s.Enumerate), publicResultMap(e.Enumerate))
+			requireSameResults(t, "after build", resultOf(t, s), resultOf(t, e))
 			if s.N() != e.N() {
 				t.Fatalf("N = %d, engine N = %d", s.N(), e.N())
 			}
@@ -113,7 +121,7 @@ func TestShardedMatchesEngine(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireSameResults(t, fmt.Sprintf("commit %d", c),
-					publicResultMap(s.Enumerate), publicResultMap(e.Enumerate))
+					resultOf(t, s), resultOf(t, e))
 				es, err := e.Snapshot()
 				if err != nil {
 					t.Fatal(err)
@@ -160,14 +168,6 @@ func TestShardedErrors(t *testing.T) {
 	if _, err := s.Snapshot(); !errors.Is(err, ivmeps.ErrNotBuilt) {
 		t.Errorf("Snapshot before Build returned %v, want ErrNotBuilt", err)
 	}
-	func() {
-		defer func() {
-			if r := recover(); r != ivmeps.ErrNotBuilt {
-				t.Errorf("Enumerate before Build panicked with %v, want ErrNotBuilt", r)
-			}
-		}()
-		s.Enumerate(func([]int64, int64) bool { return true })
-	}()
 	if err := s.Load("nope", []int64{1}); !errors.Is(err, ivmeps.ErrUnknownRelation) {
 		t.Errorf("Load of unknown relation returned %v", err)
 	}
@@ -189,7 +189,7 @@ func TestShardedErrors(t *testing.T) {
 	}
 	// Shard-detected failure: over-delete. The error carries the shard and
 	// unwraps to the public MultiplicityError; the engine is unchanged.
-	before := publicResultMap(s.Enumerate)
+	before := resultOf(t, s)
 	b := s.NewBatch()
 	for v := int64(0); v < 16; v++ {
 		b.Insert("R", []int64{v, v})
@@ -212,7 +212,7 @@ func TestShardedErrors(t *testing.T) {
 	} else if me.Relation != "S" || me.Have != 0 || me.Delta != -2 {
 		t.Errorf("MultiplicityError = %+v", me)
 	}
-	requireSameResults(t, "failed commit", publicResultMap(s.Enumerate), before)
+	requireSameResults(t, "failed commit", resultOf(t, s), before)
 
 	// A foreign batch is rejected: engine batches do not commit to sharded
 	// engines and vice versa.

@@ -564,7 +564,7 @@ func TestWatcherCloseDuringCommits(t *testing.T) {
 	if err := e.Insert("S", []int64{1, 999}); err != nil {
 		t.Fatal(err)
 	}
-	_ = e.Count()
+	rowsOf(t, e)
 	waitGoroutines(t, baseline)
 }
 
