@@ -5,14 +5,16 @@
 
 GO ?= go
 
-# The update-path benchmark set: single-tuple updates, sequential batches,
-# the parallel-batch worker sweep, the sharded-federation commit and gather
+# The gated benchmark set: single-tuple updates, sequential batches, the
+# parallel-batch worker sweep, the sharded-federation commit and gather
 # paths, the durable commit path at each fsync policy, the watch fan-out
 # sweep (whose subs=0 case pins the zero-watcher commit path at
-# 0 allocs/op), and the HTTP service layer (BenchmarkServer*, whose
-# allocs/op ride the Go HTTP stack and are gated loosely — see
-# BENCH_ALLOC_NONDET). Keep in sync with BENCH_update.json.
-BENCH_RE = Update|Batch|Parallel|Sharded|WAL|Watch|Server
+# 0 allocs/op), the per-tuple enumeration delay (BenchmarkFig1Delay, one op
+# per result tuple: a scan allocates per iterator node and heavy key, never
+# per tuple, so its allocs/op amortize to 0), and the HTTP service layer
+# (BenchmarkServer*, whose allocs/op ride the Go HTTP stack and are gated
+# loosely — see BENCH_ALLOC_NONDET). Keep in sync with BENCH_update.json.
+BENCH_RE = Update|Batch|Parallel|Sharded|WAL|Watch|Delay|Server
 
 # Benchmarks whose allocs/op are inherently nondeterministic (HTTP-path
 # connection reuse and buffer pooling); benchdiff gates these at 50%

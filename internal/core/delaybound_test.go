@@ -12,17 +12,18 @@ import (
 	"ivmeps/internal/viewtree"
 )
 
-// maxOpsPerTuple enumerates up to limit tuples and returns the largest
-// per-tuple operation count (cursor advances + lookups). Operation counts
-// are deterministic for a fixed workload, unlike wall time.
-func maxOpsPerTuple(e *Engine, limit int) int64 {
+// scanWork enumerates up to limit tuples (all of them if limit <= 0) of a
+// fresh snapshot and returns the count enumerated, the snapshot's total
+// work, and the largest per-tuple operation count (cursor advances +
+// lookups between successive results; opening the iterator is not charged
+// to the first). Operation counts are deterministic for a fixed workload,
+// unlike wall time.
+func scanWork(e *Engine, limit int) (n int, total, maxOps int64) {
 	s := e.Snapshot()
 	defer s.Close()
 	it := s.Result()
 	defer it.Close()
-	var maxOps int64
 	last := s.Work()
-	n := 0
 	for {
 		_, _, ok := it.Next()
 		if !ok {
@@ -38,7 +39,7 @@ func maxOpsPerTuple(e *Engine, limit int) int64 {
 			break
 		}
 	}
-	return maxOps
+	return n, s.Work(), maxOps
 }
 
 // zipfTwoPath builds a deterministic skewed instance.
@@ -79,7 +80,7 @@ func TestDelayBoundScaling(t *testing.T) {
 			if err := Preprocess(e, zipfTwoPath(77, n)); err != nil {
 				t.Fatal(err)
 			}
-			ops[i] = maxOpsPerTuple(e, 4000)
+			_, _, ops[i] = scanWork(e, 4000)
 		}
 		allowed := math.Pow(float64(n2)/float64(n1), 1-eps) * slack
 		ratio := float64(ops[1]) / float64(ops[0])
@@ -98,7 +99,8 @@ func TestDelayBoundScaling(t *testing.T) {
 	if err := Preprocess(e2, zipfTwoPath(77, 4000)); err != nil {
 		t.Fatal(err)
 	}
-	o1, o2 := maxOpsPerTuple(e1, 4000), maxOpsPerTuple(e2, 4000)
+	_, _, o1 := scanWork(e1, 4000)
+	_, _, o2 := scanWork(e2, 4000)
 	if o2 > 4*o1 {
 		t.Errorf("eps=1 delay not constant: %d -> %d ops/tuple", o1, o2)
 	}
@@ -134,7 +136,7 @@ func TestFreeConnexConstantDelayOps(t *testing.T) {
 		if err := Preprocess(e, db); err != nil {
 			t.Fatal(err)
 		}
-		per[i] = maxOpsPerTuple(e, 3000)
+		_, _, per[i] = scanWork(e, 3000)
 	}
 	t.Logf("free-connex max ops/tuple: %d and %d", per[0], per[1])
 	if per[1] > 2*per[0]+4 {

@@ -203,13 +203,14 @@ type Stats struct {
 
 // nodeInfo caches per-node metadata for materialization and enumeration.
 type nodeInfo struct {
+	id        int // dense, in build order: indexes per-node snapshot state
 	node      *viewtree.Node
 	schema    tuple.Schema
-	slots     []int            // binding slot per schema variable
-	freeBelow []int            // slots of free(Q) variables in the subtree
-	direct    bool             // freeBelow ⊆ schema: enumerate the node's relation directly
-	indChild  *viewtree.Node   // ∃H child, if any
-	kids      []*viewtree.Node // children excluding the ∃H child
+	slots     []int       // binding slot per schema variable
+	freeBelow []int       // slots of free(Q) variables in the subtree
+	direct    bool        // freeBelow ⊆ schema: enumerate the node's relation directly
+	indChild  *nodeInfo   // ∃H child, if any
+	kids      []*nodeInfo // children excluding the ∃H child
 
 	// Structural context: the schema positions whose variables occur in the
 	// parent view's schema. These (and only these) are bound by ancestors
@@ -330,7 +331,7 @@ func (e *Engine) buildInfo(n *viewtree.Node) *nodeInfo {
 	if inf, ok := e.info[n]; ok {
 		return inf
 	}
-	inf := &nodeInfo{node: n, schema: n.Schema}
+	inf := &nodeInfo{id: len(e.info), node: n, schema: n.Schema}
 	e.info[n] = inf
 	for _, v := range n.Schema {
 		inf.slots = append(inf.slots, e.slot[v])
@@ -367,12 +368,12 @@ func (e *Engine) buildInfo(n *viewtree.Node) *nodeInfo {
 		}
 	}
 	for _, c := range n.Children {
+		ci := e.buildInfo(c)
 		if c.Kind == viewtree.IndicatorRef {
-			inf.indChild = c
+			inf.indChild = ci
 		} else {
-			inf.kids = append(inf.kids, c)
+			inf.kids = append(inf.kids, ci)
 		}
-		e.buildInfo(c)
 	}
 	if len(n.Children) == 0 {
 		inf.direct = true

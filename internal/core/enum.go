@@ -5,7 +5,6 @@ import (
 
 	"ivmeps/internal/relation"
 	"ivmeps/internal/tuple"
-	"ivmeps/internal/viewtree"
 )
 
 // The enumeration machinery of Section 5. Iterators share a binding array
@@ -19,43 +18,58 @@ import (
 // algorithm (Figure 15); combinations across independent streams use the
 // Product algorithm (Figure 16).
 //
-// All mutable enumeration state — the binding array, the bound flags, the
-// work counter, and the node→relation resolution — lives in an enumCtx,
-// and every enumeration runs in a Snapshot's context (frozen relations,
-// own bindings, concurrent with writers; snapshot.go).
+// All mutable enumeration state lives in an enumCtx, and every enumeration
+// runs in a Snapshot's context (frozen relations, own bindings, concurrent
+// with writers; snapshot.go). The context owns the binding array and bound
+// flags, the work counter, the frozen relation of every node (indexed by
+// the node's dense nodeInfo.id), the probe-key scratch of leaf lookups and
+// the per-node scratch of grounded lookups. The nodeInfo metadata is shared
+// by every snapshot of an engine and is read-only here: scratch never goes
+// there.
+//
+// The iterator tree is built once per Result: newNodeIter resolves each
+// node's relation, index and child iterators up front, a product node
+// reopens the one prodIter it built for every view tuple, and a grounded
+// node builds one instance (with its product) per heavy key it grounds. A
+// cursor advance or a multiplicity lookup then only touches relations and
+// slots it already holds, so a scan allocates O(#iterator nodes + #grounded
+// heavy keys) and nothing per result tuple.
 
 // enumCtx is one enumeration context: the binding slots shared by a tree of
-// iterators, the delay-work counter, and the snapshot's frozen
-// node→relation capture, so it is independent of concurrent updates.
+// iterators, the delay-work counter, the snapshot's frozen relations, and
+// the lookup scratch, so it is independent of concurrent updates and of
+// other snapshots.
 type enumCtx struct {
 	e     *Engine
 	bind  []tuple.Value
 	bound []bool
 	work  *int64
-	rels  map[*viewtree.Node]*relation.Relation
+	rels  []*relation.Relation // frozen relation per nodeInfo.id
+
+	key    tuple.Tuple       // probe key of a leaf lookup (never live across a recursion)
+	ground []groundedScratch // per nodeInfo.id, for grounded lookups; built by result
+}
+
+// groundedScratch is one grounded node's lookup state in one context. A
+// grounded lookup recurses into its children's lookups while it holds
+// these, but never into its own node, so one set per node suffices.
+type groundedScratch struct {
+	rel    *relation.Relation
+	ix     *relation.Index // σ_ctx index, when the node has context and fresh variables
+	ctxKey tuple.Tuple
+	saved  []tuple.Value
+	savedB []bool
 }
 
 func (c *enumCtx) tick() { *c.work++ }
 
 // relOf resolves the frozen relation backing a node.
-func (c *enumCtx) relOf(n *viewtree.Node) *relation.Relation {
-	r := c.rels[n]
+func (c *enumCtx) relOf(inf *nodeInfo) *relation.Relation {
+	r := c.rels[inf.id]
 	if r == nil {
-		panic(fmt.Sprintf("core: snapshot did not capture a relation for node %s", n.Name))
+		panic(fmt.Sprintf("core: snapshot did not capture a relation for node %s", inf.node.Name))
 	}
 	return r
-}
-
-// infoOf returns the node's enumeration metadata. Every node of every tree
-// is covered at New time; a miss is a bug, and building lazily here would
-// write the e.info map that snapshot contexts read lock-free from other
-// goroutines, so it panics rather than repairs.
-func (c *enumCtx) infoOf(n *viewtree.Node) *nodeInfo {
-	inf, ok := c.e.info[n]
-	if !ok {
-		panic(fmt.Sprintf("core: enumeration of node %s with no metadata (not built at New)", n.Name))
-	}
-	return inf
 }
 
 type resultIter interface {
@@ -87,12 +101,12 @@ type nodeIter struct {
 	c   *enumCtx
 	inf *nodeInfo
 
-	mode nodeMode
-	rel  *relation.Relation
+	mode   nodeMode
+	rel    *relation.Relation
+	ix     *relation.Index // σ_ctx index, when the node has context and fresh variables
+	ctxKey tuple.Tuple     // context values of the current open
 
 	// Cursor state over σ_ctx(rel).
-	freshPos  []int               // schema positions bound by this iterator
-	freshSlot []int               // binding slots of those positions
 	scan      *relation.Entry     // whole-relation cursor
 	icur      *relation.IndexNode // index cursor
 	useIndex  bool
@@ -100,8 +114,8 @@ type nodeIter struct {
 	singleOK  bool
 	singleMul int64
 
-	// Product state (mProduct): child iterators, re-opened per view tuple.
-	kids  []*nodeIter
+	// Product state (mProduct): the children's product, reopened per view
+	// tuple.
 	prod  *prodIter
 	onTup bool        // a view tuple is currently bound
 	curT  tuple.Tuple // current cursor tuple (for rebind)
@@ -110,9 +124,11 @@ type nodeIter struct {
 	buckets *unionIter
 }
 
-func (c *enumCtx) newNodeIter(n *viewtree.Node) *nodeIter {
-	inf := c.infoOf(n)
-	it := &nodeIter{c: c, inf: inf}
+func (c *enumCtx) newNodeIter(inf *nodeInfo) *nodeIter {
+	it := &nodeIter{c: c, inf: inf, rel: c.relOf(inf), ctxKey: make(tuple.Tuple, len(inf.ctxSlot))}
+	if len(inf.ctxSchema) > 0 && len(inf.freshPos) > 0 {
+		it.ix = it.rel.EnsureIndex(inf.ctxSchema)
+	}
 	switch {
 	case inf.indChild != nil:
 		it.mode = mGrounded
@@ -120,11 +136,19 @@ func (c *enumCtx) newNodeIter(n *viewtree.Node) *nodeIter {
 		it.mode = mDirect
 	default:
 		it.mode = mProduct
-		for _, ch := range inf.kids {
-			it.kids = append(it.kids, c.newNodeIter(ch))
-		}
+		it.prod = c.newKidsProd(inf)
 	}
 	return it
+}
+
+// newKidsProd builds the product over iterators of inf's non-indicator
+// children.
+func (c *enumCtx) newKidsProd(inf *nodeInfo) *prodIter {
+	subs := make([]resultIter, len(inf.kids))
+	for i, k := range inf.kids {
+		subs[i] = c.newNodeIter(k)
+	}
+	return newProd(subs)
 }
 
 // openCursor positions the iterator's relation cursor under the node's
@@ -134,29 +158,24 @@ func (c *enumCtx) newNodeIter(n *viewtree.Node) *nodeIter {
 func (it *nodeIter) openCursor() {
 	c := it.c
 	inf := it.inf
-	it.rel = c.relOf(inf.node)
-	it.freshPos = inf.freshPos
-	it.freshSlot = inf.freshSlot
-	var ctxKey tuple.Tuple
 	for i, s := range inf.ctxSlot {
 		if !c.bound[s] {
 			panic(fmt.Sprintf("core: opening %s with unbound context variable %s", inf.node.Name, inf.ctxSchema[i]))
 		}
-		ctxKey = append(ctxKey, c.bind[s])
+		it.ctxKey[i] = c.bind[s]
 	}
 	it.single, it.singleOK = false, false
 	it.useIndex = false
 	switch {
 	case len(inf.ctxSchema) == 0:
 		it.scan = it.rel.First()
-	case len(it.freshPos) == 0:
+	case len(inf.freshPos) == 0:
 		it.single = true
-		it.singleMul = it.rel.Mult(ctxKey)
+		it.singleMul = it.rel.Mult(it.ctxKey)
 		it.singleOK = it.singleMul != 0
 	default:
 		it.useIndex = true
-		ix := it.rel.EnsureIndex(inf.ctxSchema)
-		it.icur = ix.FirstMatch(ctxKey)
+		it.icur = it.ix.FirstMatch(it.ctxKey)
 	}
 }
 
@@ -189,15 +208,15 @@ func (it *nodeIter) cursorNext() (tuple.Tuple, int64, bool) {
 // bindFresh writes a view tuple's fresh positions into the binding array.
 func (it *nodeIter) bindFresh(t tuple.Tuple) {
 	c := it.c
-	for k, pos := range it.freshPos {
-		s := it.freshSlot[k]
+	for k, pos := range it.inf.freshPos {
+		s := it.inf.freshSlot[k]
 		c.bind[s] = t[pos]
 		c.bound[s] = true
 	}
 }
 
 func (it *nodeIter) unbindFresh() {
-	for _, s := range it.freshSlot {
+	for _, s := range it.inf.freshSlot {
 		it.c.bound[s] = false
 	}
 }
@@ -219,14 +238,9 @@ func (it *nodeIter) open() {
 func (it *nodeIter) openBuckets() {
 	var subs []resultIter
 	for t, _, ok := it.cursorNext(); ok; t, _, ok = it.cursorNext() {
-		g := &groundedInst{c: it.c, inf: it.inf}
-		g.h = make(tuple.Tuple, len(it.freshPos))
-		for k, pos := range it.freshPos {
+		g := it.c.newGroundedInst(it.inf)
+		for k, pos := range it.inf.freshPos {
 			g.h[k] = t[pos]
-		}
-		g.slots = append([]int(nil), it.freshSlot...)
-		for _, ch := range it.inf.kids {
-			g.kids = append(g.kids, it.c.newNodeIter(ch))
 		}
 		subs = append(subs, g)
 	}
@@ -258,7 +272,6 @@ func (it *nodeIter) next() (int64, bool) {
 				it.curT = t
 				it.bindFresh(t)
 				it.onTup = true
-				it.prod = newProd(it.kidsAsIters())
 				it.prod.open()
 			}
 			if m, ok := it.prod.next(); ok {
@@ -268,14 +281,6 @@ func (it *nodeIter) next() (int64, bool) {
 			it.onTup = false
 		}
 	}
-}
-
-func (it *nodeIter) kidsAsIters() []resultIter {
-	out := make([]resultIter, len(it.kids))
-	for i, k := range it.kids {
-		out[i] = k
-	}
-	return out
 }
 
 func (it *nodeIter) rebind() {
@@ -314,9 +319,11 @@ func (it *nodeIter) close() {
 
 // lookup returns the multiplicity, in the relation represented by this
 // subtree, of the tuple formed by the currently bound variables.
-func (it *nodeIter) lookup() int64 {
-	c := it.c
-	inf := it.inf
+func (it *nodeIter) lookup() int64 { return it.c.lookupInfo(it.inf) }
+
+// lookupInfo returns the multiplicity, in the relation represented by the
+// subtree at inf, of the tuple formed by the currently bound variables.
+func (c *enumCtx) lookupInfo(inf *nodeInfo) int64 {
 	if inf.indChild != nil {
 		// Grounded lookup: sum over matching heavy keys (the Union
 		// algorithm's bucket lookups; O(N^(1−ε)) buckets).
@@ -324,94 +331,110 @@ func (it *nodeIter) lookup() int64 {
 	}
 	if inf.direct || len(inf.node.Children) == 0 {
 		c.tick()
-		t := make(tuple.Tuple, len(inf.slots))
+		key := c.key[:0]
 		for i, s := range inf.slots {
 			if !c.bound[s] {
 				panic(fmt.Sprintf("core: lookup of %s with unbound variable %s", inf.node.Name, inf.schema[i]))
 			}
-			t[i] = c.bind[s]
+			key = append(key, c.bind[s])
 		}
-		return c.relOf(inf.node).Mult(t)
+		c.key = key
+		return c.relOf(inf).Mult(key)
 	}
+	return c.lookupKids(inf)
+}
+
+// lookupKids returns the product of the lookups of inf's non-indicator
+// children, stopping at the first zero.
+func (c *enumCtx) lookupKids(inf *nodeInfo) int64 {
 	m := int64(1)
-	for _, ch := range inf.kids {
-		cm := c.lookupNode(ch)
-		if cm == 0 {
+	for _, k := range inf.kids {
+		km := c.lookupInfo(k)
+		if km == 0 {
 			return 0
 		}
-		m *= cm
+		m *= km
 	}
 	return m
 }
 
-func (c *enumCtx) lookupNode(n *viewtree.Node) int64 {
-	it := nodeIter{c: c, inf: c.infoOf(n)}
-	return it.lookup()
-}
-
 func (c *enumCtx) groundedLookup(inf *nodeInfo) int64 {
-	rel := c.relOf(inf.node)
+	sc := &c.ground[inf.id]
+	if sc.rel == nil {
+		sc.rel = c.relOf(inf)
+		if len(inf.ctxSchema) > 0 && len(inf.freshPos) > 0 {
+			sc.ix = sc.rel.EnsureIndex(inf.ctxSchema)
+		}
+		sc.ctxKey = make(tuple.Tuple, len(inf.ctxSlot))
+		sc.saved = make([]tuple.Value, len(inf.freshSlot))
+		sc.savedB = make([]bool, len(inf.freshSlot))
+	}
 	// Context is structural (the variables shared with the parent view);
 	// the remaining key variables are summed over. Consulting the runtime
 	// bound-set here would wrongly treat a stale binding of a summed heavy
 	// variable as a restriction.
-	ctxSchema := inf.ctxSchema
-	freshPos := inf.freshPos
-	freshSlot := inf.freshSlot
-	var ctxKey tuple.Tuple
 	for i, s := range inf.ctxSlot {
 		if !c.bound[s] {
 			panic(fmt.Sprintf("core: grounded lookup of %s with unbound context variable %s", inf.node.Name, inf.ctxSchema[i]))
 		}
-		ctxKey = append(ctxKey, c.bind[s])
+		sc.ctxKey[i] = c.bind[s]
 	}
 	total := int64(0)
-	sum := func(t tuple.Tuple, _ int64) {
-		c.tick()
-		// Bind the grounding, product the children, restore.
-		saved := make([]tuple.Value, len(freshSlot))
-		savedB := make([]bool, len(freshSlot))
-		for k, s := range freshSlot {
-			saved[k], savedB[k] = c.bind[s], c.bound[s]
-			c.bind[s] = t[freshPos[k]]
-			c.bound[s] = true
+	switch {
+	case len(inf.ctxSchema) == 0:
+		for ent := sc.rel.First(); ent != nil; ent = sc.rel.Next(ent) {
+			total += c.groundedTerm(inf, sc, ent.Tuple)
 		}
-		m := int64(1)
-		for _, ch := range inf.kids {
-			cm := c.lookupNode(ch)
-			if cm == 0 {
-				m = 0
-				break
-			}
-			m *= cm
+	case len(inf.freshPos) == 0:
+		if sc.rel.Mult(sc.ctxKey) != 0 {
+			total += c.groundedTerm(inf, sc, sc.ctxKey)
 		}
-		total += m
-		for k, s := range freshSlot {
-			c.bind[s], c.bound[s] = saved[k], savedB[k]
+	default:
+		for n := sc.ix.FirstMatch(sc.ctxKey); n != nil; n = n.Next() {
+			total += c.groundedTerm(inf, sc, n.Entry().Tuple)
 		}
-	}
-	if len(ctxSchema) == 0 {
-		rel.ForEach(sum)
-	} else if len(freshPos) == 0 {
-		if m := rel.Mult(ctxKey); m != 0 {
-			sum(ctxKey, m)
-		}
-	} else {
-		rel.EnsureIndex(ctxSchema).ForEachMatch(ctxKey, sum)
 	}
 	return total
+}
+
+// groundedTerm is one heavy key's term of a grounded lookup: bind the
+// grounding t, product the children's lookups, restore the bindings.
+func (c *enumCtx) groundedTerm(inf *nodeInfo, sc *groundedScratch, t tuple.Tuple) int64 {
+	c.tick()
+	for k, s := range inf.freshSlot {
+		sc.saved[k], sc.savedB[k] = c.bind[s], c.bound[s]
+		c.bind[s] = t[inf.freshPos[k]]
+		c.bound[s] = true
+	}
+	m := c.lookupKids(inf)
+	for k, s := range inf.freshSlot {
+		c.bind[s], c.bound[s] = sc.saved[k], sc.savedB[k]
+	}
+	return m
 }
 
 // ---------------------------------------------------------------------------
 // Grounded instances: one per heavy key (Figure 13, lines 8–11).
 
 type groundedInst struct {
-	c     *enumCtx
-	inf   *nodeInfo
-	h     tuple.Tuple // grounding values for the fresh key slots
-	slots []int       // binding slots for h
-	kids  []*nodeIter
-	prod  *prodIter
+	c      *enumCtx
+	slots  []int       // binding slots of the grounding (the node's fresh slots)
+	h      tuple.Tuple // grounding values for slots
+	saved  []tuple.Value
+	savedB []bool
+	prod   *prodIter // product of the node's children, reopened per open
+}
+
+func (c *enumCtx) newGroundedInst(inf *nodeInfo) *groundedInst {
+	n := len(inf.freshSlot)
+	return &groundedInst{
+		c:      c,
+		slots:  inf.freshSlot,
+		h:      make(tuple.Tuple, n),
+		saved:  make([]tuple.Value, n),
+		savedB: make([]bool, n),
+		prod:   c.newKidsProd(inf),
+	}
 }
 
 func (g *groundedInst) bindH() {
@@ -423,11 +446,6 @@ func (g *groundedInst) bindH() {
 
 func (g *groundedInst) open() {
 	g.bindH()
-	subs := make([]resultIter, len(g.kids))
-	for i, k := range g.kids {
-		subs[i] = k
-	}
-	g.prod = newProd(subs)
 	g.prod.open()
 }
 
@@ -443,32 +461,20 @@ func (g *groundedInst) rebind() {
 
 func (g *groundedInst) lookup() int64 {
 	c := g.c
-	saved := make([]tuple.Value, len(g.slots))
-	savedB := make([]bool, len(g.slots))
 	for k, s := range g.slots {
-		saved[k], savedB[k] = c.bind[s], c.bound[s]
+		g.saved[k], g.savedB[k] = c.bind[s], c.bound[s]
 		c.bind[s] = g.h[k]
 		c.bound[s] = true
 	}
-	m := int64(1)
-	for _, ch := range g.kids {
-		cm := ch.lookup()
-		if cm == 0 {
-			m = 0
-			break
-		}
-		m *= cm
-	}
+	m := g.prod.lookup()
 	for k, s := range g.slots {
-		c.bind[s], c.bound[s] = saved[k], savedB[k]
+		c.bind[s], c.bound[s] = g.saved[k], g.savedB[k]
 	}
 	return m
 }
 
 func (g *groundedInst) close() {
-	if g.prod != nil {
-		g.prod.close()
-	}
+	g.prod.close()
 	for _, s := range g.slots {
 		g.c.bound[s] = false
 	}
@@ -685,11 +691,16 @@ func (c *enumCtx) result() *Iterator {
 	for i := range c.bound {
 		c.bound[i] = false
 	}
+	if c.ground == nil {
+		c.ground = make([]groundedScratch, len(c.rels))
+	}
+	// The roots are the one place enumeration reads the engine's info map;
+	// below them, the iterators reach their nodes through nodeInfo.kids.
 	var comps []resultIter
 	for _, comp := range c.e.forest.Components {
 		var trees []resultIter
 		for _, t := range comp.Trees {
-			trees = append(trees, c.newNodeIter(t))
+			trees = append(trees, c.newNodeIter(c.e.info[t]))
 		}
 		if len(trees) == 1 {
 			comps = append(comps, trees[0])

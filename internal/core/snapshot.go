@@ -5,7 +5,6 @@ import (
 
 	"ivmeps/internal/relation"
 	"ivmeps/internal/tuple"
-	"ivmeps/internal/viewtree"
 )
 
 // Reader/writer epochs. Every committed write operation (Preprocess, each
@@ -32,8 +31,9 @@ import (
 // relation (its generation's pins are dropped with it), after which the
 // fresh generations start unpinned again.
 
-// snapGen is one cached frozen-relation generation: the node→frozen map
-// every snapshot of one epoch enumerates through, plus the distinct frozen
+// snapGen is one cached frozen-relation generation: the frozen relation of
+// every main-tree node, indexed by nodeInfo.id, that every snapshot of one
+// epoch enumerates through, plus the distinct frozen
 // handles to release when the generation dies. refs counts open snapshots;
 // stale is set when the engine moves past the generation's epoch. The pins
 // are released by whoever drops the last interest — the writer
@@ -44,7 +44,7 @@ type snapGen struct {
 	refs   int
 	stale  bool
 	pinned []*relation.Relation
-	rels   map[*viewtree.Node]*relation.Relation
+	rels   []*relation.Relation
 }
 
 // release drops one snapshot's reference, releasing the generation's pins
@@ -124,19 +124,27 @@ func (e *Engine) Snapshot() *Snapshot {
 func (e *Engine) snapshotLocked() *Snapshot {
 	g := e.curGen
 	if g == nil {
-		g = &snapGen{rels: make(map[*viewtree.Node]*relation.Relation)}
+		g = &snapGen{rels: make([]*relation.Relation, len(e.info))}
 		frozen := make(map[*relation.Relation]*relation.Relation)
-		for _, tr := range e.forest.Trees() {
-			walkNodes(tr, func(n *viewtree.Node) {
-				live := e.relOf(n)
-				f, ok := frozen[live]
-				if !ok {
-					f = live.Freeze()
-					frozen[live] = f
-					g.pinned = append(g.pinned, f)
-				}
-				g.rels[n] = f
-			})
+		var freeze func(inf *nodeInfo)
+		freeze = func(inf *nodeInfo) {
+			live := e.relOf(inf.node)
+			f, ok := frozen[live]
+			if !ok {
+				f = live.Freeze()
+				frozen[live] = f
+				g.pinned = append(g.pinned, f)
+			}
+			g.rels[inf.id] = f
+			for _, k := range inf.kids {
+				freeze(k)
+			}
+			if inf.indChild != nil {
+				freeze(inf.indChild)
+			}
+		}
+		for _, r := range e.roots {
+			freeze(r.inf)
 		}
 		e.curGen = g
 	}

@@ -234,7 +234,7 @@ func TestBatchRebalanceHysteresis(t *testing.T) {
 // TestSnapshotCaptureCachedGeneration pins the O(1) warm capture: two
 // snapshots of one epoch share one frozen generation, a commit retires it,
 // and the warm capture allocates only the per-snapshot binding state — it
-// must not rebuild the node→relation map or re-freeze relations.
+// must not rebuild the per-node relation table or re-freeze relations.
 func TestSnapshotCaptureCachedGeneration(t *testing.T) {
 	q := query.MustParse("Q(A, C) = R(A, B), S(B, C)")
 	e, err := New(q, Options{Mode: viewtree.Dynamic, Epsilon: 0.5})

@@ -102,11 +102,12 @@ type CommitSink interface {
 }
 
 // rootView is one main-tree root: the engine-assigned view name exposed by
-// RootViews/ViewForEach/commit deltas, and the node whose relation holds
-// the view's content.
+// RootViews/ViewForEach/commit deltas, and the root node's info: its
+// node's relation holds the view's content, and its id indexes a
+// snapshot's frozen relations.
 type rootView struct {
 	name string
-	node *viewtree.Node
+	inf  *nodeInfo
 }
 
 // buildRootsLocked names the main-tree roots, in forest order (the same
@@ -123,7 +124,7 @@ func (e *Engine) buildRootsLocked() {
 		if _, dup := e.rootIdx[name]; dup {
 			name = fmt.Sprintf("%s#%d", name, i+1)
 		}
-		e.roots[i] = rootView{name: name, node: tr}
+		e.roots[i] = rootView{name: name, inf: e.info[tr]}
 		e.rootIdx[name] = i
 	}
 }
@@ -153,7 +154,7 @@ func (s *Snapshot) ViewForEach(view string, fn func(t tuple.Tuple, m int64)) boo
 	if !ok {
 		return false
 	}
-	s.ctx.rels[s.e.roots[i].node].ForEach(fn)
+	s.ctx.rels[s.e.roots[i].inf.id].ForEach(fn)
 	return true
 }
 
@@ -197,7 +198,7 @@ func (e *Engine) setCaptureLocked(on bool) {
 // are skipped — materializeAll never changes base relations.
 func (cs *captureSet) captureRebalanceDiff(e *Engine, sign int64) {
 	for i := range cs.slots {
-		root := cs.roots[i].node
+		root := cs.roots[i].inf.node
 		if root.Kind == viewtree.Atom {
 			continue
 		}
